@@ -39,11 +39,9 @@ let () =
       say "t=1.0s  IMPAIR: every underlay hop now drops 0.5%% of packets";
       Faults.set_default f (Faults.impair ~loss:0.005 ()));
   let victim = List.hd fes0 in
-  ignore
-    (Sim.at t.Testbed.sim ~time:(t0 +. 3.0) (fun sim ->
-         say "t=%.1fs  CRASH: SmartNIC on FE server %d dies" (Sim.now sim -. t0) victim;
-         Smartnic.crash (Vswitch.nic (Fabric.vswitch t.Testbed.fabric victim)))
-      : Sim.handle);
+  Sim.post_at t.Testbed.sim ~time:(t0 +. 3.0) (fun sim ->
+      say "t=%.1fs  CRASH: SmartNIC on FE server %d dies" (Sim.now sim -. t0) victim;
+      Smartnic.crash (Vswitch.nic (Fabric.vswitch t.Testbed.fabric victim)));
   let cut = ref (-1) in
   Faults.at faults ~time:(t0 +. 6.0) (fun f ->
       match Controller.offload_fe_servers o with

@@ -33,12 +33,10 @@ let () =
     t.Testbed.clients;
 
   let victim = List.hd fes0 in
-  ignore
-    (Sim.schedule t.Testbed.sim ~delay:3.0 (fun sim ->
-         say "";
-         say "t=%.1fs  CRASH: SmartNIC on server %d dies" (Sim.now sim) victim;
-         Smartnic.crash (Vswitch.nic (Fabric.vswitch t.Testbed.fabric victim)))
-      : Sim.handle);
+  Sim.post t.Testbed.sim ~delay:3.0 (fun sim ->
+      say "";
+      say "t=%.1fs  CRASH: SmartNIC on server %d dies" (Sim.now sim) victim;
+      Smartnic.crash (Vswitch.nic (Fabric.vswitch t.Testbed.fabric victim)));
 
   (* Narrate the monitor's view every second. *)
   let last_fes = ref fes0 in

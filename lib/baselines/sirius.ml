@@ -160,8 +160,7 @@ and process_on_primary t s pair_idx pkt ~outer =
           t.cycles <- t.cycles + replicate_cycles;
           if
             Smartnic.submit (Vswitch.nic backup_vs) ~cycles:replicate_cycles (fun sim ->
-                ignore
-                  (Sim.schedule sim ~delay:hop (fun _ -> finish pre verdict) : Sim.handle))
+                Sim.post sim ~delay:hop (fun _ -> finish pre verdict))
           then ()
           else Vswitch.count_drop backup_vs Nf.Queue_overflow)
   in

@@ -56,21 +56,19 @@ let push t x =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let peek t = if t.size = 0 then None else Some t.data.(0)
+let top t =
+  if t.size = 0 then invalid_arg "Heap.top: empty heap";
+  t.data.(0)
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    (* Drop the stale slot so the GC can reclaim the element. *)
-    if t.size < Array.length t.data then t.data.(t.size) <- t.data.(0);
-    Some top
-  end
+let drop t =
+  if t.size = 0 then invalid_arg "Heap.drop: empty heap";
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.data.(0) <- t.data.(t.size);
+    sift_down t 0
+  end;
+  (* Drop the stale slot so the GC can reclaim the element. *)
+  if t.size < Array.length t.data then t.data.(t.size) <- t.data.(0)
 
 let clear t =
   t.data <- [||];

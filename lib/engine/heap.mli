@@ -1,7 +1,7 @@
 (** Array-backed binary min-heap, specialised by a comparison function.
 
     Used as the event queue of the simulator: O(log n) insert and
-    extract-min, O(1) peek, amortised O(1) space reuse. *)
+    extract-min, O(1) top, amortised O(1) space reuse. *)
 
 type 'a t
 
@@ -16,11 +16,13 @@ val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> unit
 
-val peek : 'a t -> 'a option
-(** Smallest element without removal. *)
+val top : 'a t -> 'a
+(** Smallest element without removal.  Allocates nothing.
+    @raise Invalid_argument on an empty heap. *)
 
-val pop : 'a t -> 'a option
-(** Remove and return the smallest element. *)
+val drop : 'a t -> unit
+(** Remove the smallest element.  Allocates nothing.
+    @raise Invalid_argument on an empty heap. *)
 
 val clear : 'a t -> unit
 

@@ -24,6 +24,16 @@ val add : 'a t -> now:float -> deadline:float -> 'a -> 'a timer
 val cancel : 'a timer -> unit
 (** O(1); expired or already-cancelled timers are no-ops. *)
 
+val retarget : 'a timer -> now:float -> deadline:float -> 'a timer
+(** [retarget timer ~now ~deadline] moves a pending timer to a new
+    deadline and returns the timer that now carries its payload.  When
+    the new deadline files under the same wheel slot the record is
+    reused in place and nothing is allocated; otherwise (a different
+    slot, or a timer that already fired or was cancelled) the old timer
+    is cancelled and a fresh one added.  Either way the wheel fires
+    exactly as after [cancel] + [add]: at the same sweep, and in the
+    same order within the slot. *)
+
 val cancelled : 'a timer -> bool
 
 val payload : 'a timer -> 'a
@@ -38,7 +48,9 @@ val next_sweep_at : 'a t -> float
 
 val advance : 'a t -> now:float -> ('a -> unit) -> int
 (** [advance t ~now f] fires [f] on every timer whose deadline is
-    [<= now], in deadline-slot order; returns the count fired.  Must be
+    [<= now], in deadline-slot order and, within a slot, most recently
+    armed first; returns the count fired.  A callback may add, cancel or
+    retarget timers, including ones in the slot being swept.  Must be
     called with monotonically non-decreasing [now]. *)
 
 val pending : 'a t -> int

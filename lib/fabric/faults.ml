@@ -169,7 +169,7 @@ let sim_for t = function
   | Some sid -> ( match t.shard_lookup with Some f -> f sid | None -> t.sim)
 
 let at t ?server ~time f =
-  ignore (Sim.at (sim_for t server) ~time (fun _ -> f t) : Sim.handle)
+  Sim.post_at (sim_for t server) ~time (fun _ -> f t)
 
 (* ------------------------------------------------------------------ *)
 (* Node lifecycle. *)
@@ -207,9 +207,7 @@ let crash_common t sid tbl restart reboot_after =
     match reboot_after with
     | None -> ()
     | Some d ->
-      ignore
-        (Sim.schedule (sim_for t (Some sid)) ~delay:d (fun _ -> restart t sid)
-          : Sim.handle)
+      Sim.post (sim_for t (Some sid)) ~delay:d (fun _ -> restart t sid)
   end
 
 let crash_server t ?reboot_after sid =

@@ -100,17 +100,15 @@ let deliver t pkt =
       Trace.add_span tr ~id:pkt.Packet.trace_id ~name:"vm_kernel"
         ~component:("vm/" ^ t.name) ~t0:now ~t1:t.busy_until ()
     | Some _ | None -> ());
-    ignore
-      (Sim.at t.sim ~time:t.busy_until (fun sim ->
-           t.queued <- t.queued - 1;
-           t.delivered <- t.delivered + 1;
-           if is_new_conn then t.accepted <- t.accepted + 1;
-           (match t.tracer with
-           | Some tr when pkt.Packet.trace_id <> 0 ->
-             Trace.end_trace tr ~id:pkt.Packet.trace_id ~now:(Sim.now sim)
-           | Some _ | None -> ());
-           t.app sim pkt)
-        : Sim.handle)
+    Sim.post_at t.sim ~time:t.busy_until (fun sim ->
+        t.queued <- t.queued - 1;
+        t.delivered <- t.delivered + 1;
+        if is_new_conn then t.accepted <- t.accepted + 1;
+        (match t.tracer with
+        | Some tr when pkt.Packet.trace_id <> 0 ->
+          Trace.end_trace tr ~id:pkt.Packet.trace_id ~now:(Sim.now sim)
+        | Some _ | None -> ());
+        t.app sim pkt)
   end
 
 let packets_delivered t = t.delivered

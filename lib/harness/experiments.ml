@@ -158,10 +158,10 @@ let fig11 ?(seed = 1) () =
            ~sport_base:(1024 + (seg mod 6 * 10_000))
            ()
           : Tcp_crr.t);
-      ignore (Sim.schedule t.Testbed.sim ~delay:1.0 (fun _ -> segment (time +. 1.0)) : Sim.handle)
+      Sim.post t.Testbed.sim ~delay:1.0 (fun _ -> segment (time +. 1.0))
     end
   in
-  ignore (Sim.schedule t.Testbed.sim ~delay:0.0 (fun _ -> segment 0.0) : Sim.handle);
+  Sim.post t.Testbed.sim ~delay:0.0 (fun _ -> segment 0.0);
   let points = ref [] in
   let last_accepted = ref 0 in
   Sim.every t.Testbed.sim ~period:0.5 (fun sim ->
@@ -213,10 +213,8 @@ let latency_probe ?(attribute = false) t ~rate ~warmup ~measure =
   let tr = t.Testbed.trace in
   if attribute then begin
     Trace.set_sample_every tr 8;
-    ignore (Sim.at sim ~time:warmup (fun _ -> Trace.set_enabled tr true) : Sim.handle);
-    ignore
-      (Sim.at sim ~time:(warmup +. measure) (fun _ -> Trace.set_enabled tr false)
-        : Sim.handle)
+    Sim.post_at sim ~time:warmup (fun _ -> Trace.set_enabled tr true);
+    Sim.post_at sim ~time:(warmup +. measure) (fun _ -> Trace.set_enabled tr false)
   end;
   let flow =
     Five_tuple.make ~src:t.Testbed.clients.(0).Tcp_crr.ip ~dst:Testbed.heavy_ip ~src_port:9999
@@ -247,10 +245,10 @@ let latency_probe ?(attribute = false) t ~rate ~warmup ~measure =
         incr sent
       end;
       Vswitch.from_vm t.Testbed.clients.(0).Tcp_crr.vs t.Testbed.clients.(0).Tcp_crr.vnic pkt;
-      ignore (Sim.schedule sim' ~delay:interval tick : Sim.handle)
+      Sim.post sim' ~delay:interval tick
     end
   in
-  ignore (Sim.schedule sim ~delay:0.0 tick : Sim.handle);
+  Sim.post sim ~delay:0.0 tick;
   Sim.run sim ~until:(warmup +. measure +. 1.0);
   let loss =
     if !sent = 0 then 0.0 else 1.0 -. (float_of_int !received /. float_of_int !sent)
@@ -502,12 +500,10 @@ let fig14 ?(seed = 1) ?underlay_loss () =
           : Tcp_crr.t))
     t.Testbed.clients;
   let crash_at = 4.0 +. Sim.now t.Testbed.sim in
-  ignore
-    (Sim.at t.Testbed.sim ~time:crash_at (fun _ ->
-         match Controller.offload_fe_servers o with
-         | s :: _ -> Smartnic.crash (Vswitch.nic (Fabric.vswitch t.Testbed.fabric s))
-         | [] -> ())
-      : Sim.handle);
+  Sim.post_at t.Testbed.sim ~time:crash_at (fun _ ->
+      match Controller.offload_fe_servers o with
+      | s :: _ -> Smartnic.crash (Vswitch.nic (Fabric.vswitch t.Testbed.fabric s))
+      | [] -> ());
   let all_drops () =
     List.fold_left
       (fun acc s ->
@@ -582,12 +578,10 @@ let chaos ?(seed = 42) ?(loss = 0.005) ?(partition = true) ?(duration = 13.0)
       Faults.set_default f (Faults.impair ~loss:(loss /. 2.0) ()));
   Faults.at faults ~time:(t0 +. 2.0) (fun f ->
       Faults.set_default f (Faults.impair ~loss ()));
-  ignore
-    (Sim.at sim ~time:(t0 +. 4.0) (fun _ ->
-         match Controller.offload_fe_servers o with
-         | s :: _ -> Smartnic.crash (Vswitch.nic (Fabric.vswitch t.Testbed.fabric s))
-         | [] -> ())
-      : Sim.handle);
+  Sim.post_at sim ~time:(t0 +. 4.0) (fun _ ->
+      match Controller.offload_fe_servers o with
+      | s :: _ -> Smartnic.crash (Vswitch.nic (Fabric.vswitch t.Testbed.fabric s))
+      | [] -> ());
   let cut = ref None in
   if partition then begin
     (* Cut a *surviving* FE's server (whoever leads the location config
@@ -846,12 +840,10 @@ let failover_run ?(seed = 1) ~retransmit () =
              ~duration:12.0 ~conn_timeout:0.5 ~retransmit ())
          t.Testbed.clients)
   in
-  ignore
-    (Sim.schedule t.Testbed.sim ~delay:4.0 (fun _ ->
-         match Controller.offload_fe_servers o with
-         | s :: _ -> Smartnic.crash (Vswitch.nic (Fabric.vswitch t.Testbed.fabric s))
-         | [] -> ())
-      : Sim.handle);
+  Sim.post t.Testbed.sim ~delay:4.0 (fun _ ->
+      match Controller.offload_fe_servers o with
+      | s :: _ -> Smartnic.crash (Vswitch.nic (Fabric.vswitch t.Testbed.fabric s))
+      | [] -> ());
   Sim.run t.Testbed.sim ~until:(Sim.now t.Testbed.sim +. 20.0);
   let sum f = List.fold_left (fun acc g -> acc + f g) 0 gens in
   (sum Tcp_crr.failed, sum Tcp_crr.retransmissions, sum Tcp_crr.completed)

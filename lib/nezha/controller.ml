@@ -189,17 +189,15 @@ let rpc_to t server k =
   let rec attempt n =
     t.rpc_attempts <- t.rpc_attempts + 1;
     if delivered () then
-      ignore (Sim.schedule t.sim ~delay:(rpc t) (fun _ -> k true) : Sim.handle)
+      Sim.post t.sim ~delay:(rpc t) (fun _ -> k true)
     else if n >= t.cfg.rpc.Rpc_policy.max_retries then begin
       t.rpc_failures <- t.rpc_failures + 1;
-      ignore
-        (Sim.schedule t.sim ~delay:t.cfg.rpc.Rpc_policy.timeout (fun _ -> k false)
-          : Sim.handle)
+      Sim.post t.sim ~delay:t.cfg.rpc.Rpc_policy.timeout (fun _ -> k false)
     end
     else begin
       t.rpc_retries <- t.rpc_retries + 1;
       let backoff = Rpc_policy.retry_delay t.cfg.rpc ~attempt:n in
-      ignore (Sim.schedule t.sim ~delay:backoff (fun _ -> attempt (n + 1)) : Sim.handle)
+      Sim.post t.sim ~delay:backoff (fun _ -> attempt (n + 1))
     end
   in
   attempt 0
@@ -363,11 +361,9 @@ let propagate_learning t ~addr ~targets =
                 if current <> targets then begin
                   let delay = Rng.float t.rng t.cfg.learning_interval in
                   if delay > !max_delay then max_delay := delay;
-                  ignore
-                    (Sim.schedule t.sim ~delay (fun _ ->
-                         Ruleset.set_mapping_multi rs addr targets;
-                         ignore (Vswitch.sync_rule_memory vs vid : Admission.t))
-                      : Sim.handle)
+                  Sim.post t.sim ~delay (fun _ ->
+                      Ruleset.set_mapping_multi rs addr targets;
+                      ignore (Vswitch.sync_rule_memory vs vid : Admission.t))
                 end))
           (Vswitch.vnic_ids vs))
     (servers_with_vswitch t);
@@ -414,21 +410,19 @@ let fallback_vnic t o =
         let be_ip = [| Topology.underlay_ip (Fabric.topology t.fabric) o.be_server |] in
         if fence_gateway t then Gateway.set_route (Fabric.gateway t.fabric) addr be_ip;
         ignore (propagate_learning t ~addr ~targets:be_ip : float);
-        ignore
-          (Sim.schedule t.sim ~delay:(t.cfg.learning_interval +. t.cfg.rtt) (fun _ ->
-               if t.alive then begin
-                 (match o.be with Some be -> Be.uninstall be | None -> ());
-                 List.iter
-                   (fun s ->
-                     match Hashtbl.find_opt t.fe_services s with
-                     | Some fe -> Fe.unserve fe addr
-                     | None -> ())
-                   o.fe_servers;
-                 o.active <- false;
-                 Hashtbl.remove t.offload_tbl o.key;
-                 registry_sync t o
-               end)
-            : Sim.handle);
+        Sim.post t.sim ~delay:(t.cfg.learning_interval +. t.cfg.rtt) (fun _ ->
+            if t.alive then begin
+              (match o.be with Some be -> Be.uninstall be | None -> ());
+              List.iter
+                (fun s ->
+                  match Hashtbl.find_opt t.fe_services s with
+                  | Some fe -> Fe.unserve fe addr
+                  | None -> ())
+                o.fe_servers;
+              o.active <- false;
+              Hashtbl.remove t.offload_tbl o.key;
+              registry_sync t o
+            end);
         Ok ())
   end
 
@@ -520,15 +514,13 @@ and scale_out t ?(avoid = []) o ~add =
       List.iter
         (fun s ->
           rpc_to t s (fun ok ->
-              ignore
-                (Sim.schedule t.sim ~delay:push_time (fun _ ->
-                     if ok then joined := s :: !joined;
-                     decr remaining;
-                     if !remaining = 0 && o.active && !joined <> [] then begin
-                       o.fe_servers <- o.fe_servers @ List.rev !joined;
-                       ignore (update_routing t o : float)
-                     end)
-                  : Sim.handle)))
+              Sim.post t.sim ~delay:push_time (fun _ ->
+                  if ok then joined := s :: !joined;
+                  decr remaining;
+                  if !remaining = 0 && o.active && !joined <> [] then begin
+                    o.fe_servers <- o.fe_servers @ List.rev !joined;
+                    ignore (update_routing t o : float)
+                  end)))
         (List.rev !configured)
     end;
     added
@@ -606,54 +598,46 @@ let offload_vnic t ~server ~vnic ?num_fes ?version_filter () =
                 registry_sync t o;
                 (* Stage 2: gateway + learning. *)
                 let gw_delay = rpc t in
-                ignore
-                  (Sim.schedule sim ~delay:gw_delay (fun sim' ->
-                       if o.active then begin
-                         let max_learn = update_routing t o in
-                         let done_at = Sim.now sim' +. max_learn in
-                         o.completed_at <- Some done_at;
-                         Stats.Histogram.record t.completion_ms
-                           ((done_at -. o.triggered_at) *. 1000.0);
-                         (* Final stage: retention window, then drop
-                            the local tables. *)
-                         ignore
-                           (Sim.schedule sim'
-                              ~delay:(t.cfg.learning_interval +. t.cfg.rtt)
-                              (fun _ ->
-                                if o.active && not o.falling_back then begin
-                                  Vswitch.drop_ruleset vs vnic;
-                                  Be.set_stage be Be.Final
-                                end)
-                             : Sim.handle)
-                       end)
-                    : Sim.handle)
+                Sim.post sim ~delay:gw_delay (fun sim' ->
+                    if o.active then begin
+                      let max_learn = update_routing t o in
+                      let done_at = Sim.now sim' +. max_learn in
+                      o.completed_at <- Some done_at;
+                      Stats.Histogram.record t.completion_ms
+                        ((done_at -. o.triggered_at) *. 1000.0);
+                      (* Final stage: retention window, then drop
+                         the local tables. *)
+                      Sim.post sim'
+                        ~delay:(t.cfg.learning_interval +. t.cfg.rtt)
+                        (fun _ ->
+                          if o.active && not o.falling_back then begin
+                            Vswitch.drop_ruleset vs vnic;
+                            Be.set_stage be Be.Final
+                          end)
+                    end)
             end
           in
           List.iter
             (fun s ->
               rpc_to t s (fun ok ->
-                  ignore
-                    (Sim.schedule t.sim ~delay:push_time (fun sim ->
-                         (if ok then begin
-                            let fe = fe_service_ensure t s in
-                            let replica = Ruleset.clone rs in
-                            match
-                              Fe.serve fe ~vnic:vnic_rec ~ruleset:replica
-                                ~be:
-                                  (Topology.underlay_ip (Fabric.topology t.fabric)
-                                     server)
-                            with
-                            | Ok () ->
-                              configured := s :: !configured;
-                              watch_fe_host t s
-                            | Error _ -> ()
-                          end);
-                         decr remaining;
-                         if !remaining = 0 then
-                           ignore
-                             (Sim.schedule sim ~delay:(rpc t) (fun sim' -> stage2 sim')
-                               : Sim.handle))
-                      : Sim.handle)))
+                  Sim.post t.sim ~delay:push_time (fun sim ->
+                      (if ok then begin
+                         let fe = fe_service_ensure t s in
+                         let replica = Ruleset.clone rs in
+                         match
+                           Fe.serve fe ~vnic:vnic_rec ~ruleset:replica
+                             ~be:
+                               (Topology.underlay_ip (Fabric.topology t.fabric)
+                                  server)
+                         with
+                         | Ok () ->
+                           configured := s :: !configured;
+                           watch_fe_host t s
+                         | Error _ -> ()
+                       end);
+                      decr remaining;
+                      if !remaining = 0 then
+                        Sim.post sim ~delay:(rpc t) (fun sim' -> stage2 sim'))))
             fe_servers;
           Ok o
         end))
@@ -684,10 +668,8 @@ let scale_in_server t server =
           t.offload_tbl;
         (* Retain the tables through the learning window so in-flight
            packets still process, then release. *)
-        ignore
-          (Sim.schedule t.sim ~delay:(t.cfg.learning_interval +. t.cfg.rtt) (fun _ ->
-               if t.alive then Fe.unserve fe addr)
-            : Sim.handle))
+        Sim.post t.sim ~delay:(t.cfg.learning_interval +. t.cfg.rtt) (fun _ ->
+            if t.alive then Fe.unserve fe addr))
       served;
     Monitor.unwatch t.monitor ~key:server
 
@@ -733,10 +715,8 @@ let scale_in_offload t o ~remove =
             if Fe.served_count fe <= 1 then Monitor.unwatch t.monitor ~key:s;
             (* Retain the tables through the learning window so
                in-flight packets still process, then release. *)
-            ignore
-              (Sim.schedule t.sim ~delay:(t.cfg.learning_interval +. t.cfg.rtt)
-                 (fun _ -> if t.alive then Fe.unserve fe (Vnic.addr o.vnic))
-                : Sim.handle))
+            Sim.post t.sim ~delay:(t.cfg.learning_interval +. t.cfg.rtt)
+              (fun _ -> if t.alive then Fe.unserve fe (Vnic.addr o.vnic)))
         victims;
       List.length victims
     end
@@ -1061,9 +1041,7 @@ let migrate_be t o ~to_server =
             (fun s ->
               match Hashtbl.find_opt t.fe_services s with
               | Some fe ->
-                ignore
-                  (Sim.schedule t.sim ~delay:0.0005 (fun _ -> Fe.set_be fe addr new_ip)
-                    : Sim.handle)
+                Sim.post t.sim ~delay:0.0005 (fun _ -> Fe.set_be fe addr new_ip)
               | None -> ())
             o.fe_servers;
           Ok ()

@@ -131,10 +131,8 @@ let probe_round t =
             Some s)
         keys
     in
-    ignore
-      (Sim.schedule t.sim ~delay:t.probe_timeout (fun _ ->
-           if t.running then collect t slots)
-        : Sim.handle)
+    Sim.post t.sim ~delay:t.probe_timeout (fun _ ->
+        if t.running then collect t slots)
   end
 
 let start t =

@@ -31,11 +31,11 @@ let keepalive_loop t flow =
         Packet.create ~vpc:t.vpc ~flow ~direction:Packet.Tx ~flags:Packet.ack ~payload_len:16 ()
       in
       Vswitch.from_vm t.client.Tcp_crr.vs t.client.Tcp_crr.vnic pkt;
-      ignore (Sim.schedule sim ~delay:t.keepalive tick : Sim.handle)
+      Sim.post sim ~delay:t.keepalive tick
     end
   in
   (* Jittered phase so keep-alives do not arrive as one burst. *)
-  ignore (Sim.schedule t.sim ~delay:(Rng.float t.rng t.keepalive) tick : Sim.handle)
+  Sim.post t.sim ~delay:(Rng.float t.rng t.keepalive) tick
 
 let open_flow t i =
   t.opened <- t.opened + 1;
@@ -44,16 +44,14 @@ let open_flow t i =
   Vswitch.from_vm t.client.Tcp_crr.vs t.client.Tcp_crr.vnic pkt;
   (* Complete the handshake shortly after so the session leaves the
      short-aged SYN state. *)
-  ignore
-    (Sim.schedule t.sim ~delay:0.002 (fun _ ->
-         if not t.stopped then begin
-           let ack =
-             Packet.create ~vpc:t.vpc ~flow ~direction:Packet.Tx ~flags:Packet.ack
-               ~payload_len:8 ()
-           in
-           Vswitch.from_vm t.client.Tcp_crr.vs t.client.Tcp_crr.vnic ack
-         end)
-      : Sim.handle);
+  Sim.post t.sim ~delay:0.002 (fun _ ->
+      if not t.stopped then begin
+        let ack =
+          Packet.create ~vpc:t.vpc ~flow ~direction:Packet.Tx ~flags:Packet.ack
+            ~payload_len:8 ()
+        in
+        Vswitch.from_vm t.client.Tcp_crr.vs t.client.Tcp_crr.vnic ack
+      end);
   keepalive_loop t flow
 
 let start ~sim ~rng ~vpc ~client ~server ~target ?(ramp_rate = 2000.0) ?(keepalive = 3.0) () =
@@ -78,10 +76,10 @@ let start ~sim ~rng ~vpc ~client ~server ~target ?(ramp_rate = 2000.0) ?(keepali
   let rec ramp i sim' =
     if i < target && not t.stopped then begin
       open_flow t i;
-      ignore (Sim.schedule sim' ~delay:(1.0 /. ramp_rate) (ramp (i + 1)) : Sim.handle)
+      Sim.post sim' ~delay:(1.0 /. ramp_rate) (ramp (i + 1))
     end
   in
-  ignore (Sim.schedule sim ~delay:0.0 (ramp 0) : Sim.handle);
+  Sim.post sim ~delay:0.0 (ramp 0);
   t
 
 let opened t = t.opened

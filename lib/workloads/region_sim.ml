@@ -354,9 +354,9 @@ let run cfg =
       let rec act sim =
         act_body sim;
         if Sim.now sim +. period <= cfg.duration then
-          ignore (Sim.schedule sim ~delay:period (fun s -> act s) : Sim.handle)
+          Sim.post sim ~delay:period (fun s -> act s)
       in
-      ignore (Sim.schedule srv.sim ~delay:offset (fun s -> act s) : Sim.handle)
+      Sim.post srv.sim ~delay:offset (fun s -> act s)
   in
   let pps_per_unit = 1e6 in
   Array.iter
@@ -406,9 +406,9 @@ let run cfg =
             srv.flow_expiries <- srv.flow_expiries + 1;
             let d = Rng.exponential srv.rng ~mean:cfg.flow_mean in
             if Sim.now sim +. d <= cfg.duration then
-              ignore (Sim.schedule sim ~delay:d (fun s -> act s) : Sim.handle)
+              Sim.post sim ~delay:d (fun s -> act s)
           in
-          ignore (Sim.schedule srv.sim ~delay:delay0 (fun s -> act s) : Sim.handle)
+          Sim.post srv.sim ~delay:delay0 (fun s -> act s)
       done;
       (* Utilization reports up to the controller shard (a crashed
          server reports nothing — the controller keeps the last one). *)
@@ -453,19 +453,17 @@ let run cfg =
           ctl.detections <- ctl.detections + 1;
           List.iter (fun f -> ctl.reserved.(f) <- true) fes;
           let share = (1.0 -. cfg.keep_share) /. float_of_int (List.length fes) in
-          ignore
-            (Sim.schedule ctl.sim ~delay:(activation_delay sid) (fun csim ->
-                 ctl.state.(sid) <- Active;
-                 ctl.activations <- ctl.activations + 1;
-                 Sim.Sharded.send csim ~dst:(shard_of sid) ~delay:cfg.ctl_latency
-                   (fun _ -> srvs.(sid).keep <- cfg.keep_share);
-                 List.iter
-                   (fun f ->
-                     ctl.fe_of.(f) <- (sid, share) :: ctl.fe_of.(f);
-                     Sim.Sharded.send csim ~dst:(shard_of f) ~delay:cfg.ctl_latency
-                       (fun _ -> srvs.(f).absorbed <- (sid, share) :: srvs.(f).absorbed))
-                   fes)
-              : Sim.handle)
+          Sim.post ctl.sim ~delay:(activation_delay sid) (fun csim ->
+              ctl.state.(sid) <- Active;
+              ctl.activations <- ctl.activations + 1;
+              Sim.Sharded.send csim ~dst:(shard_of sid) ~delay:cfg.ctl_latency
+                (fun _ -> srvs.(sid).keep <- cfg.keep_share);
+              List.iter
+                (fun f ->
+                  ctl.fe_of.(f) <- (sid, share) :: ctl.fe_of.(f);
+                  Sim.Sharded.send csim ~dst:(shard_of f) ~delay:cfg.ctl_latency
+                    (fun _ -> srvs.(f).absorbed <- (sid, share) :: srvs.(f).absorbed))
+                fes)
       end
     done
   in
@@ -483,19 +481,17 @@ let run cfg =
     if ctl.down then
       ctl.pending_readverts <- (sid, inc, t_crash) :: ctl.pending_readverts
     else
-      ignore
-        (Sim.schedule ctl_sim ~delay:cfg.resync_delay (fun csim ->
-             Sim.Sharded.send csim ~dst:(shard_of sid) ~delay:cfg.ctl_latency
-               (fun ssim ->
-                 let s = srvs.(sid) in
-                 if (not s.down) && s.incarnation = inc then begin
-                   (match ctl.state.(sid) with
-                   | Active -> s.keep <- cfg.keep_share
-                   | Pending | No_offload -> ());
-                   s.absorbed <- ctl.fe_of.(sid);
-                   s.mttr <- (Sim.now ssim -. t_crash) :: s.mttr
-                 end))
-          : Sim.handle)
+      Sim.post ctl_sim ~delay:cfg.resync_delay (fun csim ->
+          Sim.Sharded.send csim ~dst:(shard_of sid) ~delay:cfg.ctl_latency
+            (fun ssim ->
+              let s = srvs.(sid) in
+              if (not s.down) && s.incarnation = inc then begin
+                (match ctl.state.(sid) with
+                | Active -> s.keep <- cfg.keep_share
+                | Pending | No_offload -> ());
+                s.absorbed <- ctl.fe_of.(sid);
+                s.mttr <- (Sim.now ssim -. t_crash) :: s.mttr
+              end))
   in
   (* Node side: at the (setup-frozen) crash instant the volatile state
      vanishes — keep-share and FE duties revert to boot defaults — and
@@ -510,21 +506,18 @@ let run cfg =
       let inc = srv.incarnation in
       srv.keep <- 1.0;
       srv.absorbed <- [];
-      ignore
-        (Sim.schedule sim ~delay:cfg.reboot_delay (fun ssim ->
-             srv.down <- false;
-             srv.restarts <- srv.restarts + 1;
-             Sim.Sharded.send ssim ~dst:0 ~delay:cfg.ctl_latency (fun _ ->
-                 readvert srv.sid inc t_crash))
-          : Sim.handle)
+      Sim.post sim ~delay:cfg.reboot_delay (fun ssim ->
+          srv.down <- false;
+          srv.restarts <- srv.restarts + 1;
+          Sim.Sharded.send ssim ~dst:0 ~delay:cfg.ctl_latency (fun _ ->
+              readvert srv.sid inc t_crash))
     end
   in
   Array.iter
     (fun (srv : srv) ->
       Array.iter
         (fun tc ->
-          ignore (Sim.schedule srv.sim ~delay:tc (fun sim -> crash_event srv sim)
-                   : Sim.handle))
+          Sim.post srv.sim ~delay:tc (fun sim -> crash_event srv sim))
         srv.crash_times)
     srvs;
   (* Primary-controller crash: scans stop and re-advertisements queue
@@ -533,16 +526,13 @@ let run cfg =
   (match cfg.ctl_crash_at with
   | None -> ()
   | Some tca ->
-    ignore
-      (Sim.schedule ctl_sim ~delay:tca (fun _ -> ctl.down <- true) : Sim.handle);
-    ignore
-      (Sim.schedule ctl_sim ~delay:(tca +. cfg.ctl_failover) (fun _ ->
-           ctl.down <- false;
-           ctl.takeovers <- ctl.takeovers + 1;
-           let q = List.sort compare ctl.pending_readverts in
-           ctl.pending_readverts <- [];
-           List.iter (fun (sid, inc, tc) -> readvert sid inc tc) q)
-        : Sim.handle));
+    Sim.post ctl_sim ~delay:tca (fun _ -> ctl.down <- true);
+    Sim.post ctl_sim ~delay:(tca +. cfg.ctl_failover) (fun _ ->
+        ctl.down <- false;
+        ctl.takeovers <- ctl.takeovers + 1;
+        let q = List.sort compare ctl.pending_readverts in
+        ctl.pending_readverts <- [];
+        List.iter (fun (sid, inc, tc) -> readvert sid inc tc) q));
   (* --- run ---------------------------------------------------------- *)
   Sim.Sharded.run cluster ~until:cfg.duration;
   (* --- collect ------------------------------------------------------ *)

@@ -23,11 +23,10 @@ let start ~sim ~rng ~vpc ~attacker ~victim ~rate ~duration () =
       in
       let pkt = Packet.create ~vpc ~flow ~direction:Packet.Tx ~flags:Packet.syn () in
       Vswitch.from_vm attacker.Tcp_crr.vs attacker.Tcp_crr.vnic pkt;
-      ignore
-        (Sim.schedule sim' ~delay:(Rng.exponential rng ~mean:(1.0 /. rate)) arrival : Sim.handle)
+      Sim.post sim' ~delay:(Rng.exponential rng ~mean:(1.0 /. rate)) arrival
     end
   in
-  ignore (Sim.schedule sim ~delay:0.0 arrival : Sim.handle);
+  Sim.post sim ~delay:0.0 arrival;
   t
 
 let sent t = t.sent

@@ -111,10 +111,10 @@ let start ~sim ~rng ~vpc ~client ~server ~rate ~duration ?(dport = 80) ?(request
     if Sim.now sim' < t_end then begin
       sport := if !sport >= 65535 then 1024 else !sport + 1;
       open_connection t !sport;
-      ignore (Sim.schedule sim' ~delay:(Rng.exponential rng ~mean:(1.0 /. rate)) arrival : Sim.handle)
+      Sim.post sim' ~delay:(Rng.exponential rng ~mean:(1.0 /. rate)) arrival
     end
   in
-  ignore (Sim.schedule sim ~delay:(Rng.exponential rng ~mean:(1.0 /. rate)) arrival : Sim.handle);
+  Sim.post sim ~delay:(Rng.exponential rng ~mean:(1.0 /. rate)) arrival;
   t
 
 let start_closed ~sim ~rng ~vpc ~client ~server ~concurrency ~duration ?(dport = 80)
@@ -175,25 +175,23 @@ let start_closed ~sim ~rng ~vpc ~client ~server ~concurrency ~duration ?(dport =
       if retransmit then Float.min 8.0 (0.25 *. (2.0 ** float_of_int attempt))
       else conn_timeout
     in
-    ignore
-      (Sim.schedule sim' ~delay (fun sim'' ->
-           match Hashtbl.find_opt t.conns this with
-           | Some c when not c.done_ ->
-             if retransmit && attempt < 6 then begin
-               resend this c;
-               arm_timeout sim'' this (attempt + 1)
-             end
-             else begin
-               t.failed <- t.failed + 1;
-               Hashtbl.remove t.conns this;
-               launch sim''
-             end
-           | Some _ | None -> ())
-        : Sim.handle)
+    Sim.post sim' ~delay (fun sim'' ->
+        match Hashtbl.find_opt t.conns this with
+        | Some c when not c.done_ ->
+          if retransmit && attempt < 6 then begin
+            resend this c;
+            arm_timeout sim'' this (attempt + 1)
+          end
+          else begin
+            t.failed <- t.failed + 1;
+            Hashtbl.remove t.conns this;
+            launch sim''
+          end
+        | Some _ | None -> ())
   in
   t.on_conn_end <- (fun _ -> launch sim);
   for _ = 1 to concurrency do
-    ignore (Sim.schedule sim ~delay:(Rng.float rng 0.01) launch : Sim.handle)
+    Sim.post sim ~delay:(Rng.float rng 0.01) launch
   done;
   t
 
