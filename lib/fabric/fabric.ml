@@ -11,7 +11,7 @@ type t = {
   topology : Topology.t;
   gateway : Gateway.t;
   switches : Vswitch.t option array;
-  vms : (int * Vnic.id, Vm.t) Hashtbl.t;
+  vms : (Vnic.id, Vm.t) Hashtbl.t array; (* per server *)
   mutable delivered_to_vms : int;
   mutable lost_no_vxlan : int;
   mutable lost_no_such_server : int;
@@ -107,7 +107,7 @@ let create ~sim ~topology =
       topology;
       gateway = Gateway.create ();
       switches = Array.make (Topology.server_count topology) None;
-      vms = Hashtbl.create 64;
+      vms = Array.init (Topology.server_count topology) (fun _ -> Hashtbl.create 2);
       delivered_to_vms = 0;
       lost_no_vxlan = 0;
       lost_no_such_server = 0;
@@ -181,10 +181,17 @@ let deliver_to_server t ~src pkt =
     else begin
       match Topology.server_of_ip t.topology outer_dst with
       | None -> count_lost t No_such_server
-      | Some target ->
+      | Some target -> (
         let delay = Topology.latency t.topology src target in
-        transit t ~src:(Faults.Server src) ~dst:(Faults.Server target) ~delay pkt
-          (deliver_at_server t target)
+        match (t.faults, t.tracer) with
+        | None, None ->
+          (* A clean underlay has nothing to consult or record: post the
+             delivery straight away. *)
+          Sim.cross t.sims.(src) t.sims.(target) ~delay (fun _ ->
+              deliver_at_server t target pkt)
+        | Some _, _ | None, Some _ ->
+          transit t ~src:(Faults.Server src) ~dst:(Faults.Server target) ~delay pkt
+            (deliver_at_server t target))
     end
 
 let deliver_batch_at_server t target batch =
@@ -324,9 +331,9 @@ let add_server t ?sim sid ~params =
         | Vswitch.To_net pkt -> deliver_to_server t ~src:sid pkt
         | Vswitch.To_vm (vid, pkt) -> (
           t.delivered_to_vms <- t.delivered_to_vms + 1;
-          match Hashtbl.find_opt t.vms (sid, vid) with
-          | Some vm -> Vm.deliver vm pkt
-          | None -> ()));
+          match Hashtbl.find t.vms.(sid) vid with
+          | vm -> Vm.deliver vm pkt
+          | exception Not_found -> ()));
       on_net_batch = (fun batch -> deliver_batch_to_server t ~src:sid batch);
     };
   t.switches.(sid) <- Some vs;
@@ -348,9 +355,9 @@ let server_of_vswitch t vs =
   in
   probe 0
 
-let attach_vm t sid vid vm = Hashtbl.replace t.vms (sid, vid) vm
+let attach_vm t sid vid vm = Hashtbl.replace t.vms.(sid) vid vm
 
-let vm_of t sid vid = Hashtbl.find_opt t.vms (sid, vid)
+let vm_of t sid vid = Hashtbl.find_opt t.vms.(sid) vid
 
 let set_tap t tap = t.tap <- tap
 

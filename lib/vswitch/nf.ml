@@ -135,8 +135,16 @@ let process ~pre ~state ~dir ~flags ~proto ~wire_bytes ?decap_src () =
     let stats' = update_stats pre st.State.stats ~wire_bytes in
     let decap' =
       match (st.State.decap_src, decap_src, pre.Pre_action.stateful_decap) with
-      | None, Some s, true -> Some s
+      | None, (Some _ as learned), true -> learned
       | kept, _, _ -> kept
     in
-    let st' = { st with State.tcp = tcp'; stats = stats'; decap_src = decap' } in
-    if State.equal st st' then (verdict, Keep) else (verdict, Update st')
+    (* Compare the would-be fields with the held ones before building a
+       record: most packets of a session change nothing. *)
+    let same_decap =
+      match (st.State.decap_src, decap') with
+      | None, None -> true
+      | Some x, Some y -> Ipv4.equal x y
+      | None, Some _ | Some _, None -> false
+    in
+    if tcp' = st.State.tcp && stats' = st.State.stats && same_decap then (verdict, Keep)
+    else (verdict, Update { st with State.tcp = tcp'; stats = stats'; decap_src = decap' })
