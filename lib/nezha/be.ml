@@ -83,7 +83,8 @@ let key_of pkt = Flow_key.of_packet_fields ~vpc:pkt.Packet.vpc ~flow:pkt.Packet.
 let params t = Vswitch.params t.vs
 
 let trace_stage t pkt ~name ?args ~t0 () =
-  Vswitch.trace_span t.vs pkt ~name ~component:("be/" ^ Vswitch.name t.vs) ?args ~t0 ()
+  if Vswitch.traced t.vs pkt then
+    Vswitch.trace_span t.vs pkt ~name ~component:("be/" ^ Vswitch.name t.vs) ?args ~t0 ()
 
 (* The gap between the last (re)transmission and this timer (or teardown)
    firing is latency the flow really experienced; account it as a stage so
@@ -248,9 +249,10 @@ let resend t pd fe =
   let pkt = Packet.copy pd.clean in
   let p = params t in
   Vswitch.charge t.vs ~cycles:p.Params.encap_cycles (fun sim ->
-      trace_stage t pkt ~name:"be_retx"
-        ~args:[ ("retries", string_of_int pd.retries) ]
-        ~t0 ();
+      if Vswitch.traced t.vs pkt then
+        trace_stage t pkt ~name:"be_retx"
+          ~args:[ ("retries", string_of_int pd.retries) ]
+          ~t0 ();
       pd.sent_at <- Sim.now sim;
       send_to_fe t pkt ~fe ~nsh:pd.nsh)
 

@@ -45,10 +45,11 @@ let key_of pkt = Flow_key.of_packet_fields ~vpc:pkt.Packet.vpc ~flow:pkt.Packet.
    exists only because the vNIC is load-shared.  The [cached] detail says
    whether pre-actions came from the cached-flow table or a rule lookup. *)
 let trace_stage t pkt ~name ~cached ~t0 =
-  Vswitch.trace_span t.vs pkt ~name ~component:("fe/" ^ Vswitch.name t.vs)
-    ~site:Nezha_telemetry.Trace.Remote
-    ~args:[ ("cached", if cached then "true" else "false") ]
-    ~t0 ()
+  if Vswitch.traced t.vs pkt then
+    Vswitch.trace_span t.vs pkt ~name ~component:("fe/" ^ Vswitch.name t.vs)
+      ~site:Nezha_telemetry.Trace.Remote
+      ~args:[ ("cached", if cached then "true" else "false") ]
+      ~t0 ()
 
 (* Resolve the pre-actions for a packet of a served vNIC.  [flow_tx] is
    the session tuple in TX orientation (source = the served vNIC). *)

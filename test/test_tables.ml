@@ -291,6 +291,109 @@ let prop_ft_memory_consistent =
       !sum = Flow_table.memory_bytes t)
 
 
+(* Timer reuse is invisible: a table whose same-slot refreshes retarget
+   their timer expires the same keys, in the same order, at every
+   [expire] as a reference that always cancels and re-adds. *)
+module Ref_table = struct
+  module W = Nezha_engine.Timer_wheel
+
+  type t = {
+    default_aging : float;
+    wheel : Flow_key.t W.t;
+    entries : Flow_key.t W.timer Flow_key.Table.t;
+  }
+
+  let create ~default_aging =
+    {
+      default_aging;
+      wheel = W.create ~tick:(default_aging /. 8.0) ~slots:256;
+      entries = Flow_key.Table.create 16;
+    }
+
+  let arm t ~now ?aging key =
+    let aging = Option.value aging ~default:t.default_aging in
+    (match Flow_key.Table.find_opt t.entries key with Some tm -> W.cancel tm | None -> ());
+    Flow_key.Table.replace t.entries key (W.add t.wheel ~now ~deadline:(now +. aging) key)
+
+  let touch t ~now key = if Flow_key.Table.mem t.entries key then arm t ~now key
+
+  let remove t key =
+    match Flow_key.Table.find_opt t.entries key with
+    | Some tm ->
+      W.cancel tm;
+      Flow_key.Table.remove t.entries key
+    | None -> ()
+
+  let expire t ~now =
+    let out = ref [] in
+    ignore
+      (W.advance t.wheel ~now (fun key ->
+           Flow_key.Table.remove t.entries key;
+           out := key :: !out)
+        : int);
+    List.rev !out
+end
+
+type ft_op = Ins of int * float option | Touch of int | Rm of int | Expire | Wait of float
+
+let pp_ft_op = function
+  | Ins (k, None) -> Printf.sprintf "ins %d" k
+  | Ins (k, Some a) -> Printf.sprintf "ins %d ~aging:%g" k a
+  | Touch k -> Printf.sprintf "touch %d" k
+  | Rm k -> Printf.sprintf "rm %d" k
+  | Expire -> "expire"
+  | Wait dt -> Printf.sprintf "wait %g" dt
+
+let prop_ft_timer_reuse_differential =
+  let open QCheck.Gen in
+  let k = int_bound 7 in
+  let op =
+    frequency
+      [
+        (4, map2 (fun k a -> Ins (k, a)) k (opt (oneofl [ 0.5; 2.0; 8.0; 20.0 ])));
+        (5, map (fun k -> Touch k) k);
+        (1, map (fun k -> Rm k) k);
+        (2, return Expire);
+        (4, map (fun dt -> Wait dt) (oneofl [ 0.0; 0.01; 0.1; 0.4; 1.0; 3.0 ]));
+      ]
+  in
+  QCheck.Test.make ~name:"flow table timer reuse expires like cancel + re-add" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list pp_ft_op) (list_size (int_range 1 120) op))
+    (fun ops ->
+      let t = Flow_table.create ~entry_overhead:0 ~value_bytes:(fun _ -> 0) ~default_aging:8.0 () in
+      let r = Ref_table.create ~default_aging:8.0 in
+      let keys = Array.init 8 (fun i -> key "10.0.0.1" "10.0.0.2" ~sport:(2000 + i)) in
+      let now = ref 0.0 in
+      let expire_both () =
+        let got = ref [] in
+        ignore
+          (Flow_table.expire t ~now:!now ~on_expire:(fun k () -> got := k :: !got) : int);
+        List.equal Flow_key.equal (List.rev !got) (Ref_table.expire r ~now:!now)
+      in
+      List.for_all
+        (function
+          | Ins (i, aging) ->
+            ignore (Flow_table.insert t ~now:!now ?aging keys.(i) () : Admission.t);
+            Ref_table.arm r ~now:!now ?aging keys.(i);
+            true
+          | Touch i ->
+            ignore (Flow_table.touch t ~now:!now keys.(i) : bool);
+            Ref_table.touch r ~now:!now keys.(i);
+            true
+          | Rm i ->
+            ignore (Flow_table.remove t keys.(i) : bool);
+            Ref_table.remove r keys.(i);
+            true
+          | Expire -> expire_both ()
+          | Wait dt ->
+            now := !now +. dt;
+            true)
+        ops
+      && begin
+        now := !now +. 100.0;
+        expire_both ()
+      end)
+
 (* ------------------------------------------------------------------ *)
 (* Tss: tuple-space search classifier *)
 
@@ -784,5 +887,5 @@ let () =
           Alcotest.test_case "remove cancels timer" `Quick test_ft_remove;
           Alcotest.test_case "update in place" `Quick test_ft_update;
         ]
-        @ qsuite [ prop_ft_memory_consistent ] );
+        @ qsuite [ prop_ft_memory_consistent; prop_ft_timer_reuse_differential ] );
     ]
