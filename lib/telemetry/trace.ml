@@ -19,7 +19,10 @@ type t = {
   mutable enabled : bool;
   mutable sample_every : int;
   mutable next : int;  (** packets seen at allocation sites *)
-  ring : span array;
+  capacity : int;
+  (* Allocated on the first span: every testbed carries a recorder, and
+     most never enable it. *)
+  mutable ring : span array;
   mutable head : int;  (** next write slot *)
   mutable len : int;
   mutable dropped : int;
@@ -37,7 +40,8 @@ let create ?(capacity = 65536) ?(sample_every = 1) ?(enabled = false) () =
     enabled;
     sample_every;
     next = 0;
-    ring = Array.make capacity dummy_span;
+    capacity;
+    ring = [||];
     head = 0;
     len = 0;
     dropped = 0;
@@ -52,7 +56,7 @@ let set_sample_every t n =
   if n <= 0 then invalid_arg "Trace.set_sample_every: must be positive";
   t.sample_every <- n
 
-let capacity t = Array.length t.ring
+let capacity t = t.capacity
 
 let next_id t =
   if not t.enabled then 0
@@ -77,7 +81,8 @@ let end_trace t ~id ~now =
   end
 
 let push t span =
-  let cap = Array.length t.ring in
+  let cap = t.capacity in
+  if Array.length t.ring = 0 then t.ring <- Array.make cap dummy_span;
   if t.len = cap then t.dropped <- t.dropped + 1 else t.len <- t.len + 1;
   t.ring.(t.head) <- span;
   t.head <- (t.head + 1) mod cap
@@ -95,7 +100,7 @@ let dropped_spans t = t.dropped
 
 (* Oldest-to-newest walk over the live portion of the ring. *)
 let iter_spans t f =
-  let cap = Array.length t.ring in
+  let cap = t.capacity in
   let start = (t.head - t.len + cap) mod cap in
   for i = 0 to t.len - 1 do
     f t.ring.((start + i) mod cap)

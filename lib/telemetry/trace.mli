@@ -8,7 +8,8 @@
     {e spans}: half-open time intervals on the virtual clock, tagged with
     the emitting component and a kind.
 
-    The recorder is a bounded ring buffer (a flight recorder): old spans
+    The recorder is a bounded ring buffer (a flight recorder), allocated
+    with the first span: old spans
     are overwritten, never allocated beyond [capacity].  Sampling is
     1-in-[sample_every]; a disabled recorder allocates no ids at all, so
     every instrumentation site reduces to one [match] on the packet's
