@@ -230,6 +230,41 @@ else
   echo "python3 not found; skipping overhead gate"
 fi
 
+echo "== allocation budget gate (minor words per delivered packet on crr_offload)"
+# The packet path's allocation budget (DESIGN.md §6, §10): minor words
+# per VM-delivered packet on the offloaded TCP_CRR workload, seed 1.
+# perfbench counts them over the first measured window of a fresh
+# process, so the number is exact for a given compiler; the bound is
+# the value measured with that compiler plus 2%.  Another compiler
+# version allocates differently: print the value and skip the bound.
+alloc_budget_ocaml=5.1.1
+alloc_budget_words=392.17   # 384.50 measured + 2%
+if command -v python3 >/dev/null 2>&1; then
+  python3 perfbench/run.py --workload crr_offload --seed 1 --seconds 3 --trace 0 \
+    >/tmp/nezha_alloc_budget.json
+  python3 - /tmp/nezha_alloc_budget.json "$alloc_budget_ocaml" "$alloc_budget_words" <<'PY'
+import json, sys
+lines = open(sys.argv[1]).read().splitlines()
+details = json.loads(lines[0])["details"]
+result = json.loads(lines[-1])
+want_ocaml, budget = sys.argv[2], float(sys.argv[3])
+assert result["correct"] is True, \
+    "crr_offload run not correct: %d of %d checks failed" \
+    % (result["failed"], result["attempted"])
+words = result["metrics"]["host_words_per_op"]["value"]
+ocaml = details["provenance"]["ocaml_version"]
+if ocaml != want_ocaml:
+    print("skip: OCaml %s (budget recorded for %s); crr_offload allocates %.2f words/packet"
+          % (ocaml, want_ocaml, words))
+else:
+    assert words <= budget, \
+        "crr_offload allocates %.2f words/packet > budget %.2f" % (words, budget)
+    print("ok: crr_offload %.2f words/packet (budget %.2f, OCaml %s)" % (words, budget, ocaml))
+PY
+else
+  echo "python3 not found; skipping allocation budget gate"
+fi
+
 echo "== bench macro --json (BENCH_macro.json)"
 dune exec --no-build bench/main.exe -- macro --json BENCH_macro.json
 
