@@ -179,8 +179,9 @@ else
 fi
 
 echo "== batch sweep gate (flow-key grouping must win ns/packet at batch >= 32)"
-# The batched dataplane's claim: grouping a burst by flow key amortizes
-# the per-flow resolution, so ns/packet at batch 32 must beat batch-of-1
+# A standalone kernel miniature, not the dataplane (whose batch drivers
+# resolve every packet): grouping a burst by flow key amortizes the
+# per-flow resolution, so ns/packet at batch 32 must beat batch-of-1
 # (geometric mean across the grouped kernels).
 if command -v python3 >/dev/null 2>&1; then
   python3 - BENCH_micro.json <<'PY'

@@ -142,10 +142,10 @@ let store_state t key st =
        { Vswitch.pre = None; state = Some st; generation = 0 }
       : Admission.t)
 
-let send_to_fe t pkt ~fe ~nsh =
+let send_to_fe t pkt ~fe ~nsh ~out =
   Packet.set_nsh pkt nsh;
   Packet.encap_vxlan pkt ~vni:t.vni ~outer_src:(Vswitch.underlay_ip t.vs) ~outer_dst:fe;
-  Vswitch.emit t.vs (Vswitch.To_net pkt)
+  Vswitch.forward t.vs ~out pkt
 
 (* The pre-Nezha degraded mode: run the rule tables here.  During the
    dual stage the vSwitch still holds them; in the final stage we use the
@@ -184,13 +184,7 @@ let local_slow_path t pkt =
           match verdict with
           | Nf.Deliver ->
             Vswitch.maybe_mirror t.vs pre pkt;
-            let outer_dst =
-              match pre.Pre_action.peer_server with
-              | Some server -> server
-              | None -> Vswitch.gateway t.vs
-            in
-            Packet.encap_vxlan pkt ~vni:pre.Pre_action.vni
-              ~outer_src:(Vswitch.underlay_ip t.vs) ~outer_dst;
+            Vswitch.encap_to_peer t.vs pre pkt;
             Vswitch.emit t.vs (Vswitch.To_net pkt)
           | Nf.Drop reason -> Vswitch.count_drop t.vs reason);
       true)
@@ -254,7 +248,7 @@ let resend t pd fe =
           ~args:[ ("retries", string_of_int pd.retries) ]
           ~t0 ();
       pd.sent_at <- Sim.now sim;
-      send_to_fe t pkt ~fe ~nsh:pd.nsh)
+      send_to_fe t pkt ~fe ~nsh:pd.nsh ~out:None)
 
 let arm_timer t pd =
   let now = Sim.now (Vswitch.sim t.vs) in
@@ -327,145 +321,95 @@ let handle_ack t nsh =
       end;
       Stats.Counter.incr t.counters.offload_acked)
 
+(* The TX pipeline, shared by the single and batch drivers.  [resolve]
+   runs at submission and returns the packet's cycles: freshness, and
+   with it the state-init surcharge, is sampled then.  [finish] steps
+   the state and steers the packet to an FE — into [out] when a batch
+   driver collects its burst there. *)
+let resolve t pkt ~key =
+  let p = params t in
+  let fresh = Vswitch.find_session t.vs t.vnic.Vnic.id key = None in
+  Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
+  + p.Params.split_fast_path_cycles + p.Params.encap_cycles
+  + if fresh then p.Params.state_init_cycles else 0
+
+let finish t ~t0 ~key ~out pkt =
+  let p = params t in
+  trace_stage t pkt ~name:"be_tx" ~t0 ();
+  let flags = pkt.Packet.flags and proto = pkt.Packet.flow.Five_tuple.proto in
+  let st =
+    match Vswitch.find_session t.vs t.vnic.Vnic.id key with
+    | Some { Vswitch.state = Some st; _ } ->
+      step_state_tx st ~flags ~proto ~wire_bytes:(Packet.wire_size pkt)
+    | Some { Vswitch.state = None; _ } | None ->
+      State.init ~first_dir:Packet.Tx ?tcp:(Nf.tcp_phase_of_flags flags ~proto) ()
+  in
+  store_state t key st;
+  if all_suspect t && local_ruleset t <> None then begin
+    (* Every FE looks unreachable: skip the hop entirely rather than
+       queue a retransmission dance per packet. *)
+    Stats.Counter.incr t.counters.local_bypass;
+    ignore (local_slow_path t pkt : bool)
+  end
+  else begin
+    Stats.Counter.incr t.counters.tx_via_fe;
+    let base_nsh = { Packet.empty_nsh with Packet.carried_state = Some (State.encode st) } in
+    let fe = pick_fe t pkt.Packet.flow in
+    if Hashtbl.length t.outstanding < p.Params.offload_track_capacity then begin
+      let seq = t.next_seq in
+      t.next_seq <- t.next_seq + 1;
+      let nsh = { base_nsh with Packet.hop_seq = Some seq } in
+      let pd =
+        {
+          seq;
+          clean = Packet.copy pkt;
+          nsh;
+          last_fe = fe;
+          retries = 0;
+          tried = [];
+          timer = None;
+          sent_at = Sim.now (Vswitch.sim t.vs);
+        }
+      in
+      Hashtbl.replace t.outstanding seq pd;
+      arm_timer t pd;
+      Stats.Counter.incr t.counters.offload_tracked;
+      send_to_fe t pkt ~fe ~nsh ~out
+    end
+    else begin
+      Stats.Counter.incr t.counters.offload_untracked;
+      send_to_fe t pkt ~fe ~nsh:base_nsh ~out
+    end
+  end
+
 let handle_tx t pkt =
   let t0 = Sim.now (Vswitch.sim t.vs) in
   let key = key_of pkt in
-  let p = params t in
-  let fresh = Vswitch.find_session t.vs t.vnic.Vnic.id key = None in
-  let cycles =
-    Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-    + p.Params.split_fast_path_cycles + p.Params.encap_cycles
-    + (if fresh then p.Params.state_init_cycles else 0)
-  in
-  Vswitch.charge t.vs ~cycles (fun sim ->
-      trace_stage t pkt ~name:"be_tx" ~t0 ();
-      let flags = pkt.Packet.flags and proto = pkt.Packet.flow.Five_tuple.proto in
-      let st =
-        match Vswitch.find_session t.vs t.vnic.Vnic.id key with
-        | Some { Vswitch.state = Some st; _ } ->
-          step_state_tx st ~flags ~proto ~wire_bytes:(Packet.wire_size pkt)
-        | Some { Vswitch.state = None; _ } | None ->
-          State.init ~first_dir:Packet.Tx ?tcp:(Nf.tcp_phase_of_flags flags ~proto) ()
-      in
-      store_state t key st;
-      if all_suspect t && local_ruleset t <> None then begin
-        (* Every FE looks unreachable: skip the hop entirely rather than
-           queue a retransmission dance per packet. *)
-        Stats.Counter.incr t.counters.local_bypass;
-        ignore (local_slow_path t pkt : bool)
-      end
-      else begin
-        Stats.Counter.incr t.counters.tx_via_fe;
-        let base_nsh =
-          { Packet.empty_nsh with Packet.carried_state = Some (State.encode st) }
-        in
-        let fe = pick_fe t pkt.Packet.flow in
-        if Hashtbl.length t.outstanding < p.Params.offload_track_capacity then begin
-          let seq = t.next_seq in
-          t.next_seq <- t.next_seq + 1;
-          let nsh = { base_nsh with Packet.hop_seq = Some seq } in
-          let pd =
-            {
-              seq;
-              clean = Packet.copy pkt;
-              nsh;
-              last_fe = fe;
-              retries = 0;
-              tried = [];
-              timer = None;
-              sent_at = Sim.now sim;
-            }
-          in
-          Hashtbl.replace t.outstanding seq pd;
-          arm_timer t pd;
-          Stats.Counter.incr t.counters.offload_tracked;
-          send_to_fe t pkt ~fe ~nsh
-        end
-        else begin
-          Stats.Counter.incr t.counters.offload_untracked;
-          send_to_fe t pkt ~fe ~nsh:base_nsh
-        end
-      end)
+  let cycles = resolve t pkt ~key in
+  Vswitch.charge t.vs ~cycles (fun _ -> finish t ~t0 ~key ~out:None pkt)
 
-(* Vectored twin of [handle_tx]: one SmartNIC submission covers the
-   whole burst (freshness — hence the state-init surcharge — is sampled
-   per packet at submit time, as the back-to-back single calls would),
-   and the continuation replays the per-packet sequence in order,
-   collecting the FE-bound packets into one outgoing burst.  Owns
-   [batch]. *)
+(* The batch driver: one SmartNIC submission for the burst, then the
+   per-packet continuations in order, FE-bound packets leaving as one
+   burst.  Owns [batch]. *)
 let handle_tx_batch t batch =
   let n = Pbatch.length batch in
   if n = 0 then Pbatch.recycle batch
   else begin
     let t0 = Sim.now (Vswitch.sim t.vs) in
-    let p = params t in
     let cycles = ref 0 in
-    Pbatch.iter batch (fun pkt ->
-        let fresh = Vswitch.find_session t.vs t.vnic.Vnic.id (key_of pkt) = None in
-        cycles :=
-          !cycles
-          + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-          + p.Params.split_fast_path_cycles + p.Params.encap_cycles
-          + if fresh then p.Params.state_init_cycles else 0);
+    let steps =
+      Array.init n (fun i ->
+          let pkt = Pbatch.get batch i in
+          let key = key_of pkt in
+          cycles := !cycles + resolve t pkt ~key;
+          fun out -> finish t ~t0 ~key ~out pkt)
+    in
     let accepted =
-      Vswitch.charge_batch t.vs ~cycles:!cycles ~npkts:n (fun sim ->
-          let out = Pbatch.alloc () in
-          Pbatch.iter batch (fun pkt ->
-              trace_stage t pkt ~name:"be_tx" ~t0 ();
-              let key = key_of pkt in
-              let flags = pkt.Packet.flags and proto = pkt.Packet.flow.Five_tuple.proto in
-              let st =
-                match Vswitch.find_session t.vs t.vnic.Vnic.id key with
-                | Some { Vswitch.state = Some st; _ } ->
-                  step_state_tx st ~flags ~proto ~wire_bytes:(Packet.wire_size pkt)
-                | Some { Vswitch.state = None; _ } | None ->
-                  State.init ~first_dir:Packet.Tx ?tcp:(Nf.tcp_phase_of_flags flags ~proto) ()
-              in
-              store_state t key st;
-              if all_suspect t && local_ruleset t <> None then begin
-                Stats.Counter.incr t.counters.local_bypass;
-                ignore (local_slow_path t pkt : bool)
-              end
-              else begin
-                Stats.Counter.incr t.counters.tx_via_fe;
-                let base_nsh =
-                  { Packet.empty_nsh with Packet.carried_state = Some (State.encode st) }
-                in
-                let fe = pick_fe t pkt.Packet.flow in
-                let nsh =
-                  if Hashtbl.length t.outstanding < p.Params.offload_track_capacity
-                  then begin
-                    let seq = t.next_seq in
-                    t.next_seq <- t.next_seq + 1;
-                    let nsh = { base_nsh with Packet.hop_seq = Some seq } in
-                    let pd =
-                      {
-                        seq;
-                        clean = Packet.copy pkt;
-                        nsh;
-                        last_fe = fe;
-                        retries = 0;
-                        tried = [];
-                        timer = None;
-                        sent_at = Sim.now sim;
-                      }
-                    in
-                    Hashtbl.replace t.outstanding seq pd;
-                    arm_timer t pd;
-                    Stats.Counter.incr t.counters.offload_tracked;
-                    nsh
-                  end
-                  else begin
-                    Stats.Counter.incr t.counters.offload_untracked;
-                    base_nsh
-                  end
-                in
-                Packet.set_nsh pkt nsh;
-                Packet.encap_vxlan pkt ~vni:t.vni ~outer_src:(Vswitch.underlay_ip t.vs)
-                  ~outer_dst:fe;
-                Pbatch.push out pkt
-              end);
-          Vswitch.emit_batch t.vs out;
+      Vswitch.charge_batch t.vs ~cycles:!cycles ~npkts:n (fun _ ->
+          let burst = Pbatch.alloc () in
+          let out = Some burst in
+          Array.iter (fun step -> step out) steps;
+          Vswitch.emit_batch t.vs burst;
           Pbatch.recycle batch)
     in
     if not accepted then Pbatch.recycle batch

@@ -23,10 +23,22 @@ type counters = {
   hop_acks_sent : Stats.Counter.t;
 }
 
+(* A served packet's workflow (§3.2.1), as classified on arrival. *)
+type work =
+  | To_be of Ipv4.t option  (* RX: forward to the BE with the preserved outer source *)
+  | To_peer of Packet.nsh * State.t  (* TX: the NSH metadata and the carried state *)
+
+(* Where a packet's pre-actions came from. *)
+type route = Cached | Looked_up | Unroutable
+
 type t = {
   vs : Vswitch.t;
   served : served Vnic.Addr.Table.t;
   counters : counters;
+  (* [resolve]'s per-packet findings, copied out by the driver before
+     the next packet resolves. *)
+  mutable found_route : route;
+  mutable found_pre : Pre_action.t;
 }
 
 let params t = Vswitch.params t.vs
@@ -50,67 +62,6 @@ let trace_stage t pkt ~name ~cached ~t0 =
       ~site:Nezha_telemetry.Trace.Remote
       ~args:[ ("cached", if cached then "true" else "false") ]
       ~t0 ()
-
-(* Resolve the pre-actions for a packet of a served vNIC.  [flow_tx] is
-   the session tuple in TX orientation (source = the served vNIC). *)
-let resolve_pre t s ~flow_tx ~key =
-  let generation = Ruleset.generation s.ruleset in
-  match Flow_table.find s.flows key with
-  | Some c when c.generation = generation ->
-    Stats.Counter.incr t.counters.fast_hits;
-    ignore (Flow_table.touch s.flows ~now:(Sim.now (Vswitch.sim t.vs)) key : bool);
-    Some (c.pre, (params t).Params.split_fast_path_cycles, false)
-  | Some _ | None -> (
-    Stats.Counter.incr t.counters.rule_lookups;
-    match Vswitch.slow_path t.vs s.ruleset ~vpc:s.vnic.Vnic.vpc ~flow_tx with
-    | None -> None
-    | Some { Ruleset.pre; cycles } ->
-      let entry = { pre; generation } in
-      let bytes = flow_entry_bytes t in
-      if Smartnic.mem_reserve (Vswitch.nic t.vs) bytes then begin
-        match Flow_table.insert s.flows ~now:(Sim.now (Vswitch.sim t.vs)) key entry with
-        | Ok () -> ()
-        | Error _ -> Smartnic.mem_release (Vswitch.nic t.vs) bytes
-      end;
-      (* Creating the bidirectional cached flow is the expensive share of
-         session setup, and it now happens here, not at the BE. *)
-      Some (pre, cycles + (params t).Params.flow_cache_cycles, true))
-
-let forward_to_be t s pkt ~nsh =
-  Packet.set_nsh pkt nsh;
-  Packet.encap_vxlan pkt ~vni:(Ruleset.vni s.ruleset)
-    ~outer_src:(Vswitch.underlay_ip t.vs) ~outer_dst:s.be;
-  Vswitch.emit t.vs (Vswitch.To_net pkt)
-
-(* RX workflow (§3.2.1 blue flow): query pre-actions, piggyback them and
-   the preserved outer source, forward to the BE. *)
-let handle_rx t s pkt ~outer =
-  let t0 = Sim.now (Vswitch.sim t.vs) in
-  let key = key_of pkt in
-  let flow_tx = Five_tuple.reverse pkt.Packet.flow in
-  match resolve_pre t s ~flow_tx ~key with
-  | None ->
-    charge t ~cycles:(params t).Params.table_base_cycles (fun _ ->
-        Vswitch.count_drop t.vs Nf.No_route)
-  | Some (pre, lookup_cycles, fresh) ->
-    let p = params t in
-    let cycles =
-      Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-      + lookup_cycles + p.Params.encap_cycles
-    in
-    charge t ~cycles (fun _ ->
-        trace_stage t pkt ~name:"fe_rx" ~cached:(not fresh) ~t0;
-        let orig_outer_src =
-          match outer with Some v -> Some v.Packet.outer_src | None -> None
-        in
-        Stats.Counter.incr t.counters.rx_forwarded;
-        forward_to_be t s pkt
-          ~nsh:
-            {
-              Packet.empty_nsh with
-              Packet.carried_pre_actions = Some (Pre_action.encode pre);
-              orig_outer_src;
-            })
 
 let send_notify t s pkt pre =
   Stats.Counter.incr t.counters.notify_sent;
@@ -142,258 +93,182 @@ let send_hop_ack t s pkt seq =
     ~outer_src:(Vswitch.underlay_ip t.vs) ~outer_dst:s.be;
   Vswitch.emit t.vs (Vswitch.To_net ack)
 
-(* TX workflow (§3.2.1 red flow): the packet carries the state; combine
-   with pre-actions and finalize. *)
-let handle_tx t s pkt nsh state_blob =
-  let t0 = Sim.now (Vswitch.sim t.vs) in
-  match State.decode state_blob with
-  | Error _ -> Vswitch.count_drop t.vs Nf.No_route
-  | Ok state -> (
-    let key = key_of pkt in
-    match resolve_pre t s ~flow_tx:pkt.Packet.flow ~key with
-    | None ->
-      charge t ~cycles:(params t).Params.table_base_cycles (fun _ ->
-          Vswitch.count_drop t.vs Nf.No_route)
-    | Some (pre, lookup_cycles, fresh) ->
-      let p = params t in
-      let ack_cycles =
-        match nsh.Packet.hop_seq with None -> 0 | Some _ -> p.Params.encap_cycles
-      in
-      let cycles =
-        Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-        + lookup_cycles + p.Params.encap_cycles + ack_cycles
-      in
-      charge t ~cycles (fun _ ->
-          trace_stage t pkt ~name:"fe_tx" ~cached:(not fresh) ~t0;
-          (match nsh.Packet.hop_seq with
-          | Some seq -> send_hop_ack t s pkt seq
-          | None -> ());
-          (* Notify the BE when the rule lookup's rule-table-involved
-             state disagrees with what the packet carried (§3.2.2): a
-             notify fires only on fresh lookups, and only on an actual
-             difference — both conditions keep the notify rate low. *)
-          (if fresh then begin
-             let be_has_stats = state.State.stats <> None in
-             let rules_want_stats = pre.Pre_action.stats <> None in
-             if be_has_stats <> rules_want_stats then send_notify t s pkt pre
-           end);
-          let verdict, _state_out =
-            Nf.process ~pre ~state:(Some state) ~dir:Packet.Tx ~flags:pkt.Packet.flags
-              ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt) ()
-          in
-          Stats.Counter.incr t.counters.tx_finalized;
-          match verdict with
-          | Nf.Deliver ->
-            ignore (Packet.clear_nsh pkt : Packet.nsh option);
-            Vswitch.maybe_mirror t.vs pre pkt;
-            let vni = pre.Pre_action.vni in
-            let outer_dst =
-              match pre.Pre_action.peer_server with
-              | Some server -> server
-              | None -> Vswitch.gateway t.vs
-            in
-            Packet.encap_vxlan pkt ~vni ~outer_src:(Vswitch.underlay_ip t.vs) ~outer_dst;
-            Vswitch.emit t.vs (Vswitch.To_net pkt)
-          | Nf.Drop reason -> Vswitch.count_drop t.vs reason))
+(* The FE pipeline, shared by the single and batch drivers.  [resolve]
+   runs at submission: it finds the pre-actions — from the cached-flow
+   table, or a rule lookup that caches them — and returns the packet's
+   cycles, leaving the route and pre-actions in [t.found_*].  The
+   cached-flow table memoises a burst's repeats: a lookup inserts
+   synchronously, so the next packet of the flow hits.  [finish] runs
+   the workflow once the cycles are spent, sending into [out] when a
+   batch driver collects its burst there. *)
+let workflow_cycles p work pkt ~lookup_cycles =
+  let ack_cycles =
+    match work with
+    | To_peer ({ Packet.hop_seq = Some _; _ }, _) -> p.Params.encap_cycles
+    | To_peer _ | To_be _ -> 0
+  in
+  Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
+  + lookup_cycles + p.Params.encap_cycles + ack_cycles
 
-let hook t pkt ~outer =
-  let dst_addr = { Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.dst } in
-  match Vnic.Addr.Table.find_opt t.served dst_addr with
+let resolve t s work pkt =
+  let p = params t in
+  let key = key_of pkt in
+  let now = Sim.now (Vswitch.sim t.vs) in
+  let generation = Ruleset.generation s.ruleset in
+  match Flow_table.find s.flows key with
+  | Some c when c.generation = generation ->
+    Stats.Counter.incr t.counters.fast_hits;
+    ignore (Flow_table.touch s.flows ~now key : bool);
+    t.found_route <- Cached;
+    t.found_pre <- c.pre;
+    workflow_cycles p work pkt ~lookup_cycles:p.Params.split_fast_path_cycles
+  | Some _ | None -> (
+    Stats.Counter.incr t.counters.rule_lookups;
+    let flow_tx =
+      match work with
+      | To_be _ -> Five_tuple.reverse pkt.Packet.flow
+      | To_peer _ -> pkt.Packet.flow
+    in
+    match Vswitch.slow_path t.vs s.ruleset ~vpc:s.vnic.Vnic.vpc ~flow_tx with
+    | None ->
+      t.found_route <- Unroutable;
+      p.Params.table_base_cycles
+    | Some { Ruleset.pre; cycles } ->
+      let bytes = flow_entry_bytes t in
+      if Smartnic.mem_reserve (Vswitch.nic t.vs) bytes then begin
+        match Flow_table.insert s.flows ~now key { pre; generation } with
+        | Ok () -> ()
+        | Error _ -> Smartnic.mem_release (Vswitch.nic t.vs) bytes
+      end;
+      t.found_route <- Looked_up;
+      t.found_pre <- pre;
+      (* Creating the bidirectional cached flow is the expensive share of
+         session setup, and it now happens here, not at the BE. *)
+      workflow_cycles p work pkt ~lookup_cycles:(cycles + p.Params.flow_cache_cycles))
+
+let finish t s work ~route ~pre ~t0 ~out pkt =
+  match (route, work) with
+  | Unroutable, _ -> Vswitch.count_drop t.vs Nf.No_route
+  | (Cached | Looked_up), To_be orig_outer_src ->
+    (* RX (§3.2.1 blue flow): piggyback the pre-actions and the
+       preserved outer source, forward to the BE. *)
+    trace_stage t pkt ~name:"fe_rx" ~cached:(route = Cached) ~t0;
+    Stats.Counter.incr t.counters.rx_forwarded;
+    Packet.set_nsh pkt
+      {
+        Packet.empty_nsh with
+        Packet.carried_pre_actions = Some (Pre_action.encode pre);
+        orig_outer_src;
+      };
+    Packet.encap_vxlan pkt ~vni:(Ruleset.vni s.ruleset)
+      ~outer_src:(Vswitch.underlay_ip t.vs) ~outer_dst:s.be;
+    Vswitch.forward t.vs ~out pkt
+  | (Cached | Looked_up), To_peer (nsh, state) -> (
+    (* TX (§3.2.1 red flow): the packet carries the state; combine it
+       with the pre-actions and finalize. *)
+    trace_stage t pkt ~name:"fe_tx" ~cached:(route = Cached) ~t0;
+    (match nsh.Packet.hop_seq with Some seq -> send_hop_ack t s pkt seq | None -> ());
+    (* Notify the BE when the rule lookup's rule-table-involved state
+       disagrees with what the packet carried (§3.2.2): a notify fires
+       only on fresh lookups, and only on an actual difference — both
+       conditions keep the notify rate low. *)
+    (if route = Looked_up then begin
+       let be_has_stats = state.State.stats <> None in
+       let rules_want_stats = pre.Pre_action.stats <> None in
+       if be_has_stats <> rules_want_stats then send_notify t s pkt pre
+     end);
+    let verdict, _state_out =
+      Nf.process ~pre ~state:(Some state) ~dir:Packet.Tx ~flags:pkt.Packet.flags
+        ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt) ()
+    in
+    Stats.Counter.incr t.counters.tx_finalized;
+    match verdict with
+    | Nf.Deliver ->
+      Vswitch.maybe_mirror t.vs pre pkt;
+      Vswitch.encap_to_peer t.vs pre pkt;
+      Vswitch.forward t.vs ~out pkt
+    | Nf.Drop reason -> Vswitch.count_drop t.vs reason)
+
+let outer_src_of = function Some v -> Some v.Packet.outer_src | None -> None
+
+let served_by t pkt ip = Vnic.Addr.Table.find_opt t.served { Vnic.Addr.vpc = pkt.Packet.vpc; ip }
+
+let run_one t s work pkt =
+  let t0 = Sim.now (Vswitch.sim t.vs) in
+  let cycles = resolve t s work pkt in
+  let route = t.found_route and pre = t.found_pre in
+  charge t ~cycles (fun _ -> finish t s work ~route ~pre ~t0 ~out:None pkt)
+
+(* The single-packet driver, as the net hook: [pkt] arrives decapped,
+   [outer] is its original outer header. *)
+let process t pkt ~outer =
+  match served_by t pkt pkt.Packet.flow.Five_tuple.dst with
   | Some s ->
-    handle_rx t s pkt ~outer;
+    run_one t s (To_be (outer_src_of outer)) pkt;
     `Handled
   | None -> (
-    let src_addr = { Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.src } in
-    match Vnic.Addr.Table.find_opt t.served src_addr with
+    match served_by t pkt pkt.Packet.flow.Five_tuple.src with
     | Some s -> (
       match Packet.clear_nsh pkt with
       | Some ({ Packet.carried_state = Some blob; _ } as nsh) ->
-        handle_tx t s pkt nsh blob;
+        (match State.decode blob with
+        | Error _ -> Vswitch.count_drop t.vs Nf.No_route
+        | Ok state -> run_one t s (To_peer (nsh, state)) pkt);
         `Handled
       | Some _ | None -> `Continue)
     | None -> `Continue)
 
-let process t pkt ~outer = hook t pkt ~outer
-
-(* Vectored net-hook entry.  [batch] arrives still encapsulated; the
-   classification pass reads the inner/NSH fields (visible without
-   decapping), decides each packet's workflow, resolves pre-actions per
-   packet — the cached-flow table itself memoizes a burst's flow-key
-   groups, because the first packet of a group inserts synchronously and
-   the rest hit — and decaps only the packets it keeps.  The
-   still-encapsulated leftover returns to the caller.  One SmartNIC
-   charge covers the burst; the continuation replays the per-packet
-   workflows in order, sharing each group's encoded pre-action blob and
-   collecting outgoing packets into one burst for the sink. *)
-let act_skip = 0
-let act_rx = 1
-let act_tx = 2
-let act_noroute = 3
-
+(* The batch driver, as the batch net hook.  [batch] arrives still
+   encapsulated: classification reads the inner and NSH fields, decaps
+   only the packets it keeps, and hands the still-encapsulated leftover
+   back.  The kept packets resolve in order under one SmartNIC charge
+   and finish in order into one outgoing burst. *)
 let process_batch t batch =
-  let n = Pbatch.length batch in
-  if n = 0 then begin
+  if Pbatch.is_empty batch then begin
     Pbatch.recycle batch;
     None
   end
   else begin
     let t0 = Sim.now (Vswitch.sim t.vs) in
-    let p = params t in
-    let act = Array.make n act_skip in
-    let srv = Array.make n None in
-    let pre_a = Array.make n None in
-    let fresh_a = Array.make n false in
-    let sta = Array.make n None in
-    let meta = Array.make n None in
-    let outs = Array.make n None in
     let leftover = ref None in
-    let total = ref 0 in
-    let handled = ref 0 in
-    for i = 0 to n - 1 do
-      let pkt = Pbatch.get batch i in
-      let dst_addr =
-        { Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.dst }
-      in
-      match Vnic.Addr.Table.find_opt t.served dst_addr with
-      | Some s -> (
-        let outer = Packet.decap_vxlan pkt in
-        outs.(i) <- (match outer with Some v -> Some v.Packet.outer_src | None -> None);
-        srv.(i) <- Some s;
-        let key = key_of pkt in
-        incr handled;
-        match resolve_pre t s ~flow_tx:(Five_tuple.reverse pkt.Packet.flow) ~key with
-        | None ->
-          act.(i) <- act_noroute;
-          total := !total + p.Params.table_base_cycles
-        | Some (pre, lookup_cycles, fresh) ->
-          act.(i) <- act_rx;
-          pre_a.(i) <- Some pre;
-          fresh_a.(i) <- fresh;
-          total :=
-            !total
-            + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-            + lookup_cycles + p.Params.encap_cycles)
-      | None -> (
-        let src_addr =
-          { Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.src }
-        in
-        let declined () =
-          let lb =
-            match !leftover with
-            | Some lb -> lb
-            | None ->
-              let lb = Pbatch.alloc () in
-              leftover := Some lb;
-              lb
-          in
-          Pbatch.push lb pkt
-        in
-        match (Vnic.Addr.Table.find_opt t.served src_addr, pkt.Packet.nsh) with
-        | Some s, Some { Packet.carried_state = Some blob; _ } -> (
-          ignore (Packet.decap_vxlan pkt : Packet.vxlan option);
-          let nsh =
-            match Packet.clear_nsh pkt with Some m -> m | None -> Packet.empty_nsh
-          in
-          match State.decode blob with
-          | Error _ ->
-            (* Malformed carried state: counted now, as the single path
-               would, with no cycles charged. *)
-            Vswitch.count_drop t.vs Nf.No_route
-          | Ok state -> (
-            srv.(i) <- Some s;
-            sta.(i) <- Some state;
-            meta.(i) <- Some nsh;
-            let key = key_of pkt in
-            incr handled;
-            match resolve_pre t s ~flow_tx:pkt.Packet.flow ~key with
-            | None ->
-              act.(i) <- act_noroute;
-              total := !total + p.Params.table_base_cycles
-            | Some (pre, lookup_cycles, fresh) ->
-              act.(i) <- act_tx;
-              pre_a.(i) <- Some pre;
-              fresh_a.(i) <- fresh;
-              let ack_cycles =
-                match nsh.Packet.hop_seq with None -> 0 | Some _ -> p.Params.encap_cycles
-              in
-              total :=
-                !total
-                + Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt)
-                + lookup_cycles + p.Params.encap_cycles + ack_cycles))
-        | (Some _ | None), _ -> declined ())
-    done;
+    let cycles = ref 0 and handled = ref 0 and steps = ref [] in
+    let run s work pkt =
+      incr handled;
+      cycles := !cycles + resolve t s work pkt;
+      let route = t.found_route and pre = t.found_pre in
+      steps := (fun out -> finish t s work ~route ~pre ~t0 ~out pkt) :: !steps
+    in
+    Pbatch.iter batch (fun pkt ->
+        match served_by t pkt pkt.Packet.flow.Five_tuple.dst with
+        | Some s -> run s (To_be (outer_src_of (Packet.decap_vxlan pkt))) pkt
+        | None -> (
+          match (served_by t pkt pkt.Packet.flow.Five_tuple.src, pkt.Packet.nsh) with
+          | Some s, Some { Packet.carried_state = Some blob; _ } -> (
+            ignore (Packet.decap_vxlan pkt : Packet.vxlan option);
+            let nsh = match Packet.clear_nsh pkt with Some m -> m | None -> Packet.empty_nsh in
+            match State.decode blob with
+            | Error _ -> Vswitch.count_drop t.vs Nf.No_route
+            | Ok state -> run s (To_peer (nsh, state)) pkt)
+          | (Some _ | None), _ ->
+            let lb =
+              match !leftover with
+              | Some lb -> lb
+              | None ->
+                let lb = Pbatch.alloc () in
+                leftover := Some lb;
+                lb
+            in
+            Pbatch.push lb pkt));
     if !handled = 0 then Pbatch.recycle batch
     else begin
-      Stats.Counter.add t.counters.remote_cycles !total;
-      (* Shared per-group blob: members carry physically-equal
-         pre-actions, so encode once per run of the same resolution. *)
-      let last_pre = ref None in
-      let last_blob = ref Bytes.empty in
-      let encode_pre pre =
-        (match !last_pre with
-        | Some lp when lp == pre -> ()
-        | Some _ | None ->
-          last_pre := Some pre;
-          last_blob := Pre_action.encode pre);
-        !last_blob
-      in
+      Stats.Counter.add t.counters.remote_cycles !cycles;
+      let steps = List.rev !steps in
       let accepted =
-        Vswitch.charge_batch t.vs ~cycles:!total ~npkts:!handled (fun _ ->
-            let out = Pbatch.alloc () in
-            for i = 0 to n - 1 do
-              let pkt = Pbatch.get batch i in
-              let a = act.(i) in
-              if a = act_rx then begin
-                let s = Option.get srv.(i) in
-                let pre = Option.get pre_a.(i) in
-                trace_stage t pkt ~name:"fe_rx" ~cached:(not fresh_a.(i)) ~t0;
-                Stats.Counter.incr t.counters.rx_forwarded;
-                Packet.set_nsh pkt
-                  {
-                    Packet.empty_nsh with
-                    Packet.carried_pre_actions = Some (encode_pre pre);
-                    orig_outer_src = outs.(i);
-                  };
-                Packet.encap_vxlan pkt ~vni:(Ruleset.vni s.ruleset)
-                  ~outer_src:(Vswitch.underlay_ip t.vs) ~outer_dst:s.be;
-                Pbatch.push out pkt
-              end
-              else if a = act_tx then begin
-                let s = Option.get srv.(i) in
-                let pre = Option.get pre_a.(i) in
-                let state = Option.get sta.(i) in
-                let nsh = Option.get meta.(i) in
-                trace_stage t pkt ~name:"fe_tx" ~cached:(not fresh_a.(i)) ~t0;
-                (match nsh.Packet.hop_seq with
-                | Some seq -> send_hop_ack t s pkt seq
-                | None -> ());
-                (if fresh_a.(i) then begin
-                   let be_has_stats = state.State.stats <> None in
-                   let rules_want_stats = pre.Pre_action.stats <> None in
-                   if be_has_stats <> rules_want_stats then send_notify t s pkt pre
-                 end);
-                let verdict, _state_out =
-                  Nf.process ~pre ~state:(Some state) ~dir:Packet.Tx
-                    ~flags:pkt.Packet.flags ~proto:pkt.Packet.flow.Five_tuple.proto
-                    ~wire_bytes:(Packet.wire_size pkt) ()
-                in
-                Stats.Counter.incr t.counters.tx_finalized;
-                match verdict with
-                | Nf.Deliver ->
-                  Vswitch.maybe_mirror t.vs pre pkt;
-                  let outer_dst =
-                    match pre.Pre_action.peer_server with
-                    | Some server -> server
-                    | None -> Vswitch.gateway t.vs
-                  in
-                  Packet.encap_vxlan pkt ~vni:pre.Pre_action.vni
-                    ~outer_src:(Vswitch.underlay_ip t.vs) ~outer_dst;
-                  Pbatch.push out pkt
-                | Nf.Drop reason -> Vswitch.count_drop t.vs reason
-              end
-              else if a = act_noroute then Vswitch.count_drop t.vs Nf.No_route
-            done;
-            Vswitch.emit_batch t.vs out;
+        Vswitch.charge_batch t.vs ~cycles:!cycles ~npkts:!handled (fun _ ->
+            let burst = Pbatch.alloc () in
+            let out = Some burst in
+            List.iter (fun step -> step out) steps;
+            Vswitch.emit_batch t.vs burst;
             Pbatch.recycle batch)
       in
       if not accepted then Pbatch.recycle batch
@@ -401,27 +276,8 @@ let process_batch t batch =
     !leftover
   end
 
-(* The FE service in the shared ingress shape.  [ingest] accepts a
-   still-encapsulated packet and decapsulates it itself; a batched
-   leftover re-enters the vSwitch's net ingress. *)
-module Ingress_impl = struct
-  type nonrec t = t
-  type ctx = unit
-
-  let ingest t ~ctx:() pkt =
-    let outer = Packet.decap_vxlan pkt in
-    hook t pkt ~outer
-
-  let ingest_batch t ~ctx:() batch =
-    match process_batch t batch with
-    | None -> ()
-    | Some leftover ->
-      Pbatch.iter leftover (fun pkt -> Vswitch.from_net t.vs pkt);
-      Pbatch.recycle leftover
-end
-
 let reattach t =
-  Vswitch.set_net_hook t.vs (Some (fun pkt ~outer -> hook t pkt ~outer));
+  Vswitch.set_net_hook t.vs (Some (fun pkt ~outer -> process t pkt ~outer));
   Vswitch.set_net_hook_batch t.vs (Some (fun batch -> process_batch t batch))
 
 let install vs =
@@ -439,6 +295,8 @@ let install vs =
           tx_finalized = Stats.Counter.create ();
           hop_acks_sent = Stats.Counter.create ();
         };
+      found_route = Unroutable;
+      found_pre = Pre_action.default ~vni:0;
     }
   in
   reattach t;

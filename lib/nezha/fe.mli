@@ -47,11 +47,6 @@ val process_batch : t -> Pbatch.t -> Pbatch.t option
     which transfers back to the caller — or [None] when everything was
     consumed. *)
 
-module Ingress_impl : Nezha_vswitch.Ingress.S with type t = t and type ctx = unit
-(** The FE service in the shared ingress shape: [ingest] decapsulates
-    and classifies one packet; [ingest_batch] runs {!process_batch} and
-    re-enters the vSwitch's net ingress with any leftover. *)
-
 val serve : t -> vnic:Vnic.t -> ruleset:Ruleset.t -> be:Ipv4.t -> Admission.t
 (** Configure this FE for a vNIC: reserves memory for the rule-table
     replica ([Error `No_memory] when it does not fit).  Replaces any

@@ -103,12 +103,10 @@ val select : Acl.t -> backend
 
 type t
 
-val create : ?policy:policy -> ?backend:backend -> ?default:Acl.action -> unit -> t
-(** [policy] defaults to [Auto]; [default] to [Permit].
-    @deprecated [backend] — pre-policy spelling, equivalent to
-    [~policy:(Fixed backend)]; ignored when [policy] is given. *)
+val create : ?policy:policy -> ?default:Acl.action -> unit -> t
+(** [policy] defaults to [Auto]; [default] to [Permit]. *)
 
-val of_acl : ?policy:policy -> ?backend:backend -> Acl.t -> t
+val of_acl : ?policy:policy -> Acl.t -> t
 (** Wrap an existing ACL; the index is built (and under [Auto] the
     backend chosen) on first lookup. *)
 

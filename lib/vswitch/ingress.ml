@@ -1,14 +1,11 @@
-(** The shared shape of every packet-ingress point on the dataplane.
-
-    The vSwitch's net ingress, the FE service and the BE intercept all
-    accept traffic through the same pair of shapes: a single-packet
-    [ingest] that can decline ([`Continue]) and a vectored
-    [ingest_batch] that consumes the whole batch (taking ownership —
-    the implementation recycles it; anything it cannot handle it routes
-    through its own fallback).  [ctx] carries the per-component side
-    channel ([unit] where none is needed, the packet direction for the
-    BE intercept, ...), identically placed in both variants so callers
-    can abstract over components. *)
+(** The shape of a packet-ingress point on the dataplane, implemented
+    by the BE intercept ([Be.Ingress_impl]): a single-packet [ingest]
+    that can decline ([`Continue]) and a vectored [ingest_batch] that
+    consumes the whole batch (taking ownership — the implementation
+    recycles it; anything it cannot handle it routes through its own
+    fallback).  [ctx] carries the component's side channel (the packet
+    direction for the BE intercept), identically placed in both
+    variants. *)
 
 module type S = sig
   type t

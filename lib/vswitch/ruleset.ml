@@ -54,13 +54,13 @@ let mega_entry_bytes = 56 (* masked key + boxed pre-action pointer + bucket slot
 
 let exact_mask = { mask_src_len = 32; mask_ports = true; mask_proto = true }
 
-let create ~vni ?acl ?policy ?backend ?rate_limit_bps ?(stats_rules = [])
+let create ~vni ?acl ?policy ?rate_limit_bps ?(stats_rules = [])
     ?(stateful_decap = false) ?(mirror = false) ?(extra_tables = 0)
     ?(fixed_overhead_bytes = 2 * 1024 * 1024) ?(lookup_extra_cycles = 0) () =
   let classifier =
     match acl with
-    | Some acl -> Classifier.of_acl ?policy ?backend acl
-    | None -> Classifier.create ?policy ?backend ()
+    | Some acl -> Classifier.of_acl ?policy acl
+    | None -> Classifier.create ?policy ()
   in
   {
     vni;
@@ -223,13 +223,6 @@ let lookup t ~params ~vpc ~flow_tx =
         + t.lookup_extra_cycles
       in
       Some { pre; cycles })
-
-(* The batched datapath resolves one lookup per flow-key group and lets
-   the other members of the group ride the result.  Each such member is
-   exactly what a megaflow hit would have been on the single-packet
-   path, so the batch path reports it here to keep the hit/miss
-   telemetry comparable across both paths. *)
-let note_megaflow_hit t = Stats.Counter.incr t.mega_hits
 
 let megaflow_hits t = Stats.Counter.value t.mega_hits
 let megaflow_misses t = Stats.Counter.value t.mega_misses

@@ -27,7 +27,6 @@ val create :
   vni:int ->
   ?acl:Acl.t ->
   ?policy:Classifier.policy ->
-  ?backend:Classifier.backend ->
   ?rate_limit_bps:int ->
   ?stats_rules:(Ipv4.Prefix.t * Pre_action.stats_spec) list ->
   ?stateful_decap:bool ->
@@ -38,11 +37,9 @@ val create :
   unit ->
   t
 (** [policy] (default [Auto]) selects the classifier backend from the
-    ruleset's shape at every resync; [backend] is the deprecated
-    pre-policy spelling, equivalent to [~policy:(Fixed backend)] and
-    ignored when [policy] is given.  [extra_tables] models advanced
-    features (policy routing, mirroring,
-    flow logging) that add lookup stages.  [fixed_overhead_bytes]
+    ruleset's shape at every resync.  [extra_tables] models advanced
+    features (policy routing, mirroring, flow logging) that add lookup
+    stages.  [fixed_overhead_bytes]
     (default 2 MB, the production minimum of §6.2.1) is the footprint of
     the table scaffolding itself.  [lookup_extra_cycles] (default 0) is a
     per-execution surcharge for O(100 MB) production tables whose lookups
@@ -97,12 +94,6 @@ val lookup :
     A megaflow-cache hit short-circuits the walk and costs only
     [params.megaflow_hit_cycles].  Sessions whose peer maps to several
     FEs are never cached: their FE choice hashes the full tuple. *)
-
-val note_megaflow_hit : t -> unit
-(** Record a megaflow hit that happened outside {!lookup}: the batched
-    datapath resolves one lookup per flow-key group and each additional
-    group member is accounted as the cache hit it would have been on
-    the single-packet path. *)
 
 val megaflow_hits : t -> int
 val megaflow_misses : t -> int

@@ -44,6 +44,14 @@ type flow_record = {
   first_dir : Packet.direction;
 }
 
+(* How [resolve] classified a packet of the local pipeline. *)
+type route = Hit | Walk | Unroutable
+
+(* What a packet's continuation needs besides the packet itself: the
+   route taken, plus the submission time and lookup cost its trace spans
+   report.  Untraced packets share one static value per route. *)
+type resolution = { route : route; t0 : float; lookup_cycles : int }
+
 type vnic_entry = {
   vnic : Vnic.t;
   mutable ruleset : Ruleset.t option;
@@ -53,9 +61,23 @@ type vnic_entry = {
   mutable intercept : intercept option;
   slow_execs : Stats.Counter.t;
   mutable rate_limit : Token_bucket.t option;
+  tx_lane : lane;
+  rx_lane : lane;
 }
 
-type t = {
+(* One vNIC's local pipeline in one direction: the context every
+   continuation of that pipeline shares, built once per vNIC. *)
+and lane = { vs : t; vid : Vnic.id; dir : Packet.direction }
+
+(* Where [resolve] leaves its per-packet findings for the driver, which
+   copies them out before resolving the next packet. *)
+and scratch = {
+  mutable res : resolution;
+  mutable found_pre : Pre_action.t;
+  mutable found_state : State.t option;
+}
+
+and t = {
   sim : Sim.t;
   params : Params.t;
   name : string;
@@ -88,6 +110,7 @@ type t = {
   (* Saved by [register_telemetry] so vNICs added later still get their
      per-vNIC instruments (and removed vNICs drop theirs). *)
   mutable telemetry : Nezha_telemetry.Telemetry.t option;
+  scratch : scratch;
 }
 
 let make_counters () =
@@ -106,6 +129,11 @@ let make_counters () =
 (* Accounted size of a session entry: key bytes, plus the cached
    bidirectional pre-actions when present, plus the fixed state slot. *)
 let key_bytes = 40
+
+let untraced route = { route; t0 = 0.0; lookup_cycles = 0 }
+let hit = untraced Hit
+let walk = untraced Walk
+let unroutable = untraced Unroutable
 
 let session_bytes params s =
   key_bytes
@@ -139,6 +167,7 @@ let create ~sim ~params ~name ~underlay_ip ~gateway () =
       epoch = 0;
       epoch_rejections = 0;
       telemetry = None;
+      scratch = { res = unroutable; found_pre = Pre_action.default ~vni:0; found_state = None };
     }
   in
   (* Aging pump: sweep session tables a few times per aging period. *)
@@ -284,6 +313,8 @@ let add_vnic t vnic ruleset =
         intercept = None;
         slow_execs = Stats.Counter.create ();
         rate_limit = None;
+        tx_lane = { vs = t; vid = vnic.Vnic.id; dir = Packet.Tx };
+        rx_lane = { vs = t; vid = vnic.Vnic.id; dir = Packet.Rx };
       }
     in
     Vnic.Id_table.replace t.vnics vnic.Vnic.id entry;
@@ -584,12 +615,18 @@ let maybe_mirror t (pre : Pre_action.t) pkt =
     emit t (To_net copy)
   | _, _ -> ()
 
-(* Forward a tenant packet to the underlay server [dst] (or the gateway
-   when the mapping is unknown). *)
-let forward_overlay t pkt ~vni ~dst =
-  let outer_dst = match dst with Some server -> server | None -> t.gateway in
-  Packet.encap_vxlan pkt ~vni ~outer_src:t.underlay_ip ~outer_dst;
-  emit t (To_net pkt)
+(* Encapsulate a tenant packet toward the server hosting its peer, or
+   the gateway when the mapping is unknown. *)
+let encap_to_peer t (pre : Pre_action.t) pkt =
+  let outer_dst =
+    match pre.Pre_action.peer_server with Some server -> server | None -> t.gateway
+  in
+  Packet.encap_vxlan pkt ~vni:pre.Pre_action.vni ~outer_src:t.underlay_ip ~outer_dst
+
+(* Send a finished packet on: singly, or into [out] when a batch driver
+   collects its burst there. *)
+let forward t ~out pkt =
+  match out with None -> emit t (To_net pkt) | Some burst -> Pbatch.push burst pkt
 
 (* Write a fast-path verdict's state back.  A session that already
    holds pre-actions and state keeps its accounted size, so it is
@@ -612,370 +649,152 @@ let apply_state_out t vid key ~generation ~pre out =
           (store_session t vid key { pre = Some pre; state = Some st; generation }
             : Admission.t)))
 
-(* Traditional local TX path (§2.1). *)
-let local_tx t e pkt =
-  let vid = e.vnic.Vnic.id in
-  let t0 = Sim.now t.sim in
-  let key = Flow_key.of_packet_fields ~vpc:pkt.Packet.vpc ~flow:pkt.Packet.flow in
-  let move = Params.packet_cycles t.params ~wire_bytes:(Packet.wire_size pkt) in
-  match e.ruleset with
-  | None -> count_drop t Nf.No_route
-  | Some rs -> (
-    let generation = Ruleset.generation rs in
-    match Flow_table.get e.sessions key with
-    | { pre = Some pre; state; generation = g } when g = generation ->
-      Stats.Counter.incr t.counters.fast_path_hits;
-      let cycles = move + t.params.Params.fast_path_cycles + t.params.Params.encap_cycles in
-      charge t ~cycles (fun _sim ->
-          trace_stage t pkt ~name:"fast_path" ~args:[ ("dir", "tx") ] ~t0 ();
-          let verdict, out =
-            Nf.process ~pre ~state ~dir:Packet.Tx ~flags:pkt.Packet.flags
-              ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt) ()
-          in
-          apply_state_out t vid key ~generation ~pre out;
-          match verdict with
-          | Nf.Deliver ->
-            maybe_mirror t pre pkt;
-            forward_overlay t pkt ~vni:pre.Pre_action.vni ~dst:pre.Pre_action.peer_server
-          | Nf.Drop reason -> count_drop t reason)
-    | _ | (exception Not_found) -> (
-      Stats.Counter.incr e.slow_execs;
-      match slow_path t rs ~vpc:pkt.Packet.vpc ~flow_tx:pkt.Packet.flow with
-      | None ->
-        let cycles =
-          move
-          + Params.rule_lookup_cycles t.params ~acl_rules_scanned:0 ~lpm_depth:32
-              ~tables:(Ruleset.table_count rs)
-        in
-        charge t ~cycles (fun _ -> count_drop t Nf.No_route)
-      | Some { Ruleset.pre; cycles } ->
-        if pre.Pre_action.peer_server = None then
-          learn_mapping t ~vid
-            ~addr:{ Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.dst };
-        let lookup_cycles = cycles in
-        let cycles =
-          move + cycles + t.params.Params.session_setup_cycles + t.params.Params.encap_cycles
-        in
-        charge t ~cycles (fun _sim ->
-            trace_stage t pkt ~name:"slow_path" ~args:[ ("dir", "tx") ] ~t0 ();
-            if traced t pkt then
-              trace_detail t pkt ~name:"classification"
-                ~args:[ ("lookup_cycles", string_of_int lookup_cycles) ]
-                ~t0 ();
-            let prior_state = Option.bind (find_session t vid key) (fun s -> s.state) in
-            let verdict, out =
-              Nf.process ~pre ~state:prior_state ~dir:Packet.Tx ~flags:pkt.Packet.flags
-                ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt) ()
-            in
-            let stored =
-              let state =
-                match out with Nf.Init st | Nf.Update st -> Some st | Nf.Keep -> prior_state
-              in
-              store_session t vid key { pre = Some pre; state; generation }
-            in
-            match (stored, verdict) with
-            | Error _, _ -> count_drop t Nf.Table_full
-            | Ok (), Nf.Deliver ->
-              maybe_mirror t pre pkt;
-              forward_overlay t pkt ~vni:pre.Pre_action.vni ~dst:pre.Pre_action.peer_server
-            | Ok (), Nf.Drop reason -> count_drop t reason)))
-
-(* Traditional local RX path: the packet has been decapped; [outer_src]
-   is the underlay source preserved for stateful decapsulation. *)
-let local_rx t e pkt ~outer_src =
-  let vid = e.vnic.Vnic.id in
-  let t0 = Sim.now t.sim in
-  let key = Flow_key.of_packet_fields ~vpc:pkt.Packet.vpc ~flow:pkt.Packet.flow in
-  let move = Params.packet_cycles t.params ~wire_bytes:(Packet.wire_size pkt) in
-  match e.ruleset with
-  | None -> count_drop t Nf.No_route
-  | Some rs -> (
-    let generation = Ruleset.generation rs in
-    match Flow_table.get e.sessions key with
-    | { pre = Some pre; state; generation = g } when g = generation ->
-      Stats.Counter.incr t.counters.fast_path_hits;
-      let cycles = move + t.params.Params.fast_path_cycles in
-      charge t ~cycles (fun _sim ->
-          trace_stage t pkt ~name:"fast_path" ~args:[ ("dir", "rx") ] ~t0 ();
-          let verdict, out =
-            Nf.process ~pre ~state ~dir:Packet.Rx ~flags:pkt.Packet.flags
-              ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt)
-              ?decap_src:outer_src ()
-          in
-          apply_state_out t vid key ~generation ~pre out;
-          match verdict with
-          | Nf.Deliver ->
-            maybe_mirror t pre pkt;
-            deliver_local t vid pkt
-          | Nf.Drop reason -> count_drop t reason)
-    | _ | (exception Not_found) -> (
-      (* First packet arrived from outside: run the slow path on the
-         TX-orientation tuple (the reverse of what we received). *)
-      Stats.Counter.incr e.slow_execs;
-      match
-        slow_path t rs ~vpc:pkt.Packet.vpc ~flow_tx:(Five_tuple.reverse pkt.Packet.flow)
-      with
-      | None ->
-        let cycles =
-          move
-          + Params.rule_lookup_cycles t.params ~acl_rules_scanned:0 ~lpm_depth:32
-              ~tables:(Ruleset.table_count rs)
-        in
-        charge t ~cycles (fun _ -> count_drop t Nf.No_route)
-      | Some { Ruleset.pre; cycles } ->
-        let lookup_cycles = cycles in
-        let cycles = move + cycles + t.params.Params.session_setup_cycles in
-        charge t ~cycles (fun _sim ->
-            trace_stage t pkt ~name:"slow_path" ~args:[ ("dir", "rx") ] ~t0 ();
-            if traced t pkt then
-              trace_detail t pkt ~name:"classification"
-                ~args:[ ("lookup_cycles", string_of_int lookup_cycles) ]
-                ~t0 ();
-            let prior_state = Option.bind (find_session t vid key) (fun s -> s.state) in
-            let verdict, out =
-              Nf.process ~pre ~state:prior_state ~dir:Packet.Rx ~flags:pkt.Packet.flags
-                ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt)
-                ?decap_src:outer_src ()
-            in
-            let stored =
-              let state =
-                match out with Nf.Init st | Nf.Update st -> Some st | Nf.Keep -> prior_state
-              in
-              store_session t vid key { pre = Some pre; state; generation }
-            in
-            match (stored, verdict) with
-            | Error _, _ -> count_drop t Nf.Table_full
-            | Ok (), Nf.Deliver ->
-              maybe_mirror t pre pkt;
-              deliver_local t vid pkt
-            | Ok (), Nf.Drop reason -> count_drop t reason)))
-
 (* ------------------------------------------------------------------ *)
-(* Batched local datapath.
+(* The local pipeline (§2.1), one for both directions and both drivers.
 
-   One pass over the burst groups packets by flow key (linear scan over
-   the unique keys seen so far — batches are small) and resolves each
-   group once: a session-table hit or one slow-path execution, with the
-   rest of the group riding the result.  The whole burst is then charged
-   as a single SmartNIC submission (one event for the summed cycles) and
-   the continuation replays the exact per-packet sequence the
-   single-packet paths run, so state evolution, stored sessions and
-   verdicts match a packet-at-a-time burst observably.
+   [resolve] runs when a packet is submitted: it classifies the packet
+   (session hit, rule-table walk, or unroutable), does the accounting
+   and returns the SmartNIC cycles.  [finish] is the continuation once
+   those cycles are spent: the NF step, the state write and the
+   mirror/encap/deliver.  [local_one] charges each packet on its own;
+   [local_batch] resolves a burst in order, charges it as one submission
+   and finishes it in order into one outgoing burst.  A burst therefore
+   matches the same packets sent singly, except for how the SmartNIC
+   queue is fed; the session table and the megaflow cache memoise a
+   burst's repeats exactly as they do back-to-back singles. *)
 
-   Counter discipline: group followers advance the same counters the
-   single path would have (fast-path hit, or slow-path execution whose
-   lookup degenerates to a megaflow hit).  Flows whose peer maps to
-   several FEs are the one divergence: the single path re-walks the
-   pipeline per packet (their megaflow entry is uncacheable) while the
-   batch memo rides the leader's result — same pre-actions (the FE pick
-   hashes the flow, identical within a group), fewer walk cycles. *)
+let dir_args = function
+  | Packet.Tx -> [ ("dir", "tx") ]
+  | Packet.Rx -> [ ("dir", "rx") ]
 
-let dummy_key =
-  Flow_key.of_packet_fields ~vpc:(Vpc.make 0)
-    ~flow:
-      (Five_tuple.make ~src:(Ipv4.of_octets 0 0 0 0) ~dst:(Ipv4.of_octets 0 0 0 0)
-         ~src_port:0 ~dst_port:0 ~proto:Five_tuple.Tcp)
+let resolution t pkt route ~lookup_cycles =
+  if traced t pkt then { route; t0 = Sim.now t.sim; lookup_cycles }
+  else match route with Hit -> hit | Walk -> walk | Unroutable -> unroutable
 
-let kind_fast = 0
-let kind_slow = 1
-let kind_noroute = 2
-
-(* [outers] is the per-packet preserved outer source on RX; [None] on
-   TX.  Owns [batch]. *)
-let local_batch t e ~dir batch ~outers =
-  let vid = e.vnic.Vnic.id in
-  let t0 = Sim.now t.sim in
-  let n = Pbatch.length batch in
-  if n = 0 then Pbatch.recycle batch
-  else begin
-    match e.ruleset with
+(* Classify [pkt] against [rs] and return its cycles; the route, the
+   pre-actions and (on a hit) the state are left in [t.scratch].  A hit
+   carries the state as it is now, as a back-to-back single would; a
+   walk re-reads it when it finishes. *)
+let resolve t e rs ~dir ~generation ~key pkt =
+  let r = t.scratch in
+  let p = t.params in
+  let move = Params.packet_cycles p ~wire_bytes:(Packet.wire_size pkt) in
+  let encap = match dir with Packet.Tx -> p.Params.encap_cycles | Packet.Rx -> 0 in
+  match Flow_table.get e.sessions key with
+  | { pre = Some pre; state; generation = g } when g = generation ->
+    Stats.Counter.incr t.counters.fast_path_hits;
+    r.res <- resolution t pkt Hit ~lookup_cycles:0;
+    r.found_pre <- pre;
+    r.found_state <- state;
+    move + p.Params.fast_path_cycles + encap
+  | _ | (exception Not_found) -> (
+    (* The slow path walks the tables with the TX-orientation tuple:
+       on RX, the reverse of what arrived. *)
+    Stats.Counter.incr e.slow_execs;
+    let flow_tx =
+      match dir with
+      | Packet.Tx -> pkt.Packet.flow
+      | Packet.Rx -> Five_tuple.reverse pkt.Packet.flow
+    in
+    r.found_state <- None;
+    match slow_path t rs ~vpc:pkt.Packet.vpc ~flow_tx with
     | None ->
-      for _ = 1 to n do
-        count_drop t Nf.No_route
-      done;
-      Pbatch.recycle batch
-    | Some rs ->
-      let generation = Ruleset.generation rs in
-      let pkt_group = Array.make n 0 in
-      let pkt_lookup = Array.make n 0 in
-      let pkt_key = Array.make n dummy_key in
-      let g_keys = Array.make n dummy_key in
-      let g_kind = Array.make n kind_noroute in
-      let g_pre = Array.make n None in
-      let g_state = Array.make n None in
-      let ngroups = ref 0 in
-      let total_cycles = ref 0 in
-      for i = 0 to n - 1 do
-        let pkt = Pbatch.get batch i in
-        let key = Flow_key.of_packet_fields ~vpc:pkt.Packet.vpc ~flow:pkt.Packet.flow in
-        pkt_key.(i) <- key;
-        let move = Params.packet_cycles t.params ~wire_bytes:(Packet.wire_size pkt) in
-        let encap = match dir with Packet.Tx -> t.params.Params.encap_cycles | Packet.Rx -> 0 in
-        let gi = ref (-1) in
-        for j = 0 to !ngroups - 1 do
-          if !gi < 0 && Flow_key.equal g_keys.(j) key then gi := j
-        done;
-        let lookup_cycles = ref 0 in
-        (if !gi < 0 then begin
-           (* Group leader: resolve once. *)
-           let j = !ngroups in
-           incr ngroups;
-           g_keys.(j) <- key;
-           gi := j;
-           let cached =
-             match find_session t vid key with
-             | Some ({ pre = Some _; _ } as s) when s.generation = generation -> Some s
-             | Some _ | None -> None
-           in
-           match cached with
-           | Some { pre = Some pre; state; _ } ->
-             Stats.Counter.incr t.counters.fast_path_hits;
-             g_kind.(j) <- kind_fast;
-             g_pre.(j) <- Some pre;
-             g_state.(j) <- state
-           | Some _ | None -> (
-             Stats.Counter.incr e.slow_execs;
-             let flow_tx =
-               match dir with
-               | Packet.Tx -> pkt.Packet.flow
-               | Packet.Rx -> Five_tuple.reverse pkt.Packet.flow
-             in
-             match slow_path t rs ~vpc:pkt.Packet.vpc ~flow_tx with
-             | None ->
-               g_kind.(j) <- kind_noroute;
-               lookup_cycles :=
-                 Params.rule_lookup_cycles t.params ~acl_rules_scanned:0 ~lpm_depth:32
-                   ~tables:(Ruleset.table_count rs)
-             | Some { Ruleset.pre; cycles } ->
-               if dir = Packet.Tx && pre.Pre_action.peer_server = None then
-                 learn_mapping t ~vid
-                   ~addr:
-                     { Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.dst };
-               g_kind.(j) <- kind_slow;
-               g_pre.(j) <- Some pre;
-               lookup_cycles := cycles)
-         end
-         else begin
-           (* Follower: account what the single path would have done. *)
-           match g_kind.(!gi) with
-           | k when k = kind_fast -> Stats.Counter.incr t.counters.fast_path_hits
-           | k when k = kind_slow ->
-             Stats.Counter.incr e.slow_execs;
-             Stats.Counter.incr t.counters.slow_path_execs;
-             Ruleset.note_megaflow_hit rs;
-             lookup_cycles := t.params.Params.megaflow_hit_cycles
-           | _ ->
-             (* Unroutable groups are not memoized: the single path
-                burns a failed walk per packet, so replay it. *)
-             Stats.Counter.incr e.slow_execs;
-             ignore
-               (slow_path t rs ~vpc:pkt.Packet.vpc
-                  ~flow_tx:
-                    (match dir with
-                    | Packet.Tx -> pkt.Packet.flow
-                    | Packet.Rx -> Five_tuple.reverse pkt.Packet.flow)
-                 : Ruleset.lookup_result option);
-             lookup_cycles :=
-               Params.rule_lookup_cycles t.params ~acl_rules_scanned:0 ~lpm_depth:32
-                 ~tables:(Ruleset.table_count rs)
-         end);
-        pkt_group.(i) <- !gi;
-        pkt_lookup.(i) <- !lookup_cycles;
-        let c =
-          match g_kind.(!gi) with
-          | k when k = kind_fast -> move + t.params.Params.fast_path_cycles + encap
-          | k when k = kind_slow ->
-            move + !lookup_cycles + t.params.Params.session_setup_cycles + encap
-          | _ -> move + !lookup_cycles
-        in
-        total_cycles := !total_cycles + c
-      done;
-      let accepted =
-        charge_batch t ~cycles:!total_cycles ~npkts:n (fun _sim ->
-            let out = Pbatch.alloc () in
-            for i = 0 to n - 1 do
-              let pkt = Pbatch.get batch i in
-              let key = pkt_key.(i) in
-              let gi = pkt_group.(i) in
-              let decap_src = match outers with None -> None | Some a -> a.(i) in
-              let dir_arg = match dir with Packet.Tx -> "tx" | Packet.Rx -> "rx" in
-              match g_kind.(gi) with
-              | k when k = kind_fast -> (
-                let pre = Option.get g_pre.(gi) in
-                if traced t pkt then
-                  trace_stage t pkt ~name:"fast_path" ~args:[ ("dir", dir_arg) ] ~t0 ();
-                let verdict, st_out =
-                  Nf.process ~pre ~state:g_state.(gi) ~dir ~flags:pkt.Packet.flags
-                    ~proto:pkt.Packet.flow.Five_tuple.proto
-                    ~wire_bytes:(Packet.wire_size pkt) ?decap_src ()
-                in
-                apply_state_out t vid key ~generation ~pre st_out;
-                match verdict with
-                | Nf.Deliver -> (
-                  maybe_mirror t pre pkt;
-                  match dir with
-                  | Packet.Tx ->
-                    let outer_dst =
-                      match pre.Pre_action.peer_server with
-                      | Some server -> server
-                      | None -> t.gateway
-                    in
-                    Packet.encap_vxlan pkt ~vni:pre.Pre_action.vni
-                      ~outer_src:t.underlay_ip ~outer_dst;
-                    Pbatch.push out pkt
-                  | Packet.Rx -> deliver_local t vid pkt)
-                | Nf.Drop reason -> count_drop t reason)
-              | k when k = kind_slow -> (
-                let pre = Option.get g_pre.(gi) in
-                if traced t pkt then
-                  trace_stage t pkt ~name:"slow_path" ~args:[ ("dir", dir_arg) ] ~t0 ();
-                if traced t pkt then
-                  trace_detail t pkt ~name:"classification"
-                    ~args:[ ("lookup_cycles", string_of_int pkt_lookup.(i)) ]
-                    ~t0 ();
-                let prior_state =
-                  Option.bind (find_session t vid key) (fun s -> s.state)
-                in
-                let verdict, st_out =
-                  Nf.process ~pre ~state:prior_state ~dir ~flags:pkt.Packet.flags
-                    ~proto:pkt.Packet.flow.Five_tuple.proto
-                    ~wire_bytes:(Packet.wire_size pkt) ?decap_src ()
-                in
-                let stored =
-                  let state =
-                    match st_out with
-                    | Nf.Init st | Nf.Update st -> Some st
-                    | Nf.Keep -> prior_state
-                  in
-                  store_session t vid key { pre = g_pre.(gi); state; generation }
-                in
-                match (stored, verdict) with
-                | Error _, _ -> count_drop t Nf.Table_full
-                | Ok (), Nf.Deliver -> (
-                  maybe_mirror t pre pkt;
-                  match dir with
-                  | Packet.Tx ->
-                    let outer_dst =
-                      match pre.Pre_action.peer_server with
-                      | Some server -> server
-                      | None -> t.gateway
-                    in
-                    Packet.encap_vxlan pkt ~vni:pre.Pre_action.vni
-                      ~outer_src:t.underlay_ip ~outer_dst;
-                    Pbatch.push out pkt
-                  | Packet.Rx -> deliver_local t vid pkt)
-                | Ok (), Nf.Drop reason -> count_drop t reason)
-              | _ -> count_drop t Nf.No_route
-            done;
-            emit_batch t out;
-            Pbatch.recycle batch)
-      in
-      if not accepted then Pbatch.recycle batch
-  end
+      r.res <- unroutable;
+      move
+      + Params.rule_lookup_cycles p ~acl_rules_scanned:0 ~lpm_depth:32
+          ~tables:(Ruleset.table_count rs)
+    | Some { Ruleset.pre; cycles } ->
+      if dir = Packet.Tx && pre.Pre_action.peer_server = None then
+        learn_mapping t ~vid:e.vnic.Vnic.id
+          ~addr:{ Vnic.Addr.vpc = pkt.Packet.vpc; ip = pkt.Packet.flow.Five_tuple.dst };
+      r.res <- resolution t pkt Walk ~lookup_cycles:cycles;
+      r.found_pre <- pre;
+      move + cycles + p.Params.session_setup_cycles + encap)
 
-let local_tx_batch t e batch = local_batch t e ~dir:Packet.Tx batch ~outers:None
+let deliver l ~pre ~out pkt =
+  let t = l.vs in
+  maybe_mirror t pre pkt;
+  match l.dir with
+  | Packet.Tx ->
+    encap_to_peer t pre pkt;
+    forward t ~out pkt
+  | Packet.Rx -> deliver_local t l.vid pkt
 
-let local_rx_batch t e batch ~outers = local_batch t e ~dir:Packet.Rx batch ~outers:(Some outers)
+let nf_step l ~pre ~decap_src pkt state =
+  Nf.process ~pre ~state ~dir:l.dir ~flags:pkt.Packet.flags
+    ~proto:pkt.Packet.flow.Five_tuple.proto ~wire_bytes:(Packet.wire_size pkt) ?decap_src ()
+
+let finish l res ~key ~generation ~pre ~state ~decap_src ~out pkt =
+  let t = l.vs and dir = l.dir in
+  match res.route with
+  | Unroutable -> count_drop t Nf.No_route
+  | Hit -> (
+    if traced t pkt then trace_stage t pkt ~name:"fast_path" ~args:(dir_args dir) ~t0:res.t0 ();
+    let verdict, out_state = nf_step l ~pre ~decap_src pkt state in
+    apply_state_out t l.vid key ~generation ~pre out_state;
+    match verdict with
+    | Nf.Deliver -> deliver l ~pre ~out pkt
+    | Nf.Drop reason -> count_drop t reason)
+  | Walk -> (
+    if traced t pkt then begin
+      trace_stage t pkt ~name:"slow_path" ~args:(dir_args dir) ~t0:res.t0 ();
+      trace_detail t pkt ~name:"classification"
+        ~args:[ ("lookup_cycles", string_of_int res.lookup_cycles) ]
+        ~t0:res.t0 ()
+    end;
+    let prior_state = Option.bind (find_session t l.vid key) (fun s -> s.state) in
+    let verdict, out_state = nf_step l ~pre ~decap_src pkt prior_state in
+    let state =
+      match out_state with Nf.Init st | Nf.Update st -> Some st | Nf.Keep -> prior_state
+    in
+    match (store_session t l.vid key { pre = Some pre; state; generation }, verdict) with
+    | Error _, _ -> count_drop t Nf.Table_full
+    | Ok (), Nf.Deliver -> deliver l ~pre ~out pkt
+    | Ok (), Nf.Drop reason -> count_drop t reason)
+
+let key_of pkt = Flow_key.of_packet_fields ~vpc:pkt.Packet.vpc ~flow:pkt.Packet.flow
+
+(* [decap_src] is the underlay source an RX packet arrived from,
+   preserved for stateful decapsulation; [None] on TX. *)
+let local_one t e l ~decap_src pkt =
+  match e.ruleset with
+  | None -> count_drop t Nf.No_route
+  | Some rs ->
+    let key = key_of pkt in
+    let generation = Ruleset.generation rs in
+    let cycles = resolve t e rs ~dir:l.dir ~generation ~key pkt in
+    let { res; found_pre = pre; found_state = state } = t.scratch in
+    charge t ~cycles (fun _ -> finish l res ~key ~generation ~pre ~state ~decap_src ~out:None pkt)
+
+(* [decap_srcs.(i)] is packet [i]'s [decap_src].  Owns [batch]. *)
+let local_batch t e l batch ~decap_srcs =
+  let n = Pbatch.length batch in
+  match e.ruleset with
+  | _ when n = 0 -> Pbatch.recycle batch
+  | None ->
+    Stats.Counter.add (drop_counter t Nf.No_route) n;
+    Pbatch.recycle batch
+  | Some rs ->
+    let generation = Ruleset.generation rs in
+    let cycles = ref 0 in
+    let steps =
+      Array.init n (fun i ->
+          let pkt = Pbatch.get batch i in
+          let key = key_of pkt in
+          cycles := !cycles + resolve t e rs ~dir:l.dir ~generation ~key pkt;
+          let { res; found_pre = pre; found_state = state } = t.scratch in
+          let decap_src = decap_srcs.(i) in
+          fun out -> finish l res ~key ~generation ~pre ~state ~decap_src ~out pkt)
+    in
+    let accepted =
+      charge_batch t ~cycles:!cycles ~npkts:n (fun _sim ->
+          let burst = Pbatch.alloc () in
+          let out = Some burst in
+          Array.iter (fun step -> step out) steps;
+          emit_batch t burst;
+          Pbatch.recycle batch)
+    in
+    if not accepted then Pbatch.recycle batch
 
 let from_vm t vid pkt =
   Stats.Counter.incr t.counters.tx_packets;
@@ -992,8 +811,11 @@ let from_vm t vid pkt =
     else begin
       trace_begin t pkt;
       match e.intercept with
-      | Some i -> ( match i.on_tx pkt with `Handled -> () | `Continue -> local_tx t e pkt)
-      | None -> local_tx t e pkt
+      | Some i -> (
+        match i.on_tx pkt with
+        | `Handled -> ()
+        | `Continue -> local_one t e e.tx_lane ~decap_src:None pkt)
+      | None -> local_one t e e.tx_lane ~decap_src:None pkt
     end
 
 (* vNIC TX burst: the batched twin of [from_vm].  Owns [batch]. *)
@@ -1024,9 +846,11 @@ let from_vnic_batch t vid batch =
       (* Single-packet interceptor: unroll, then the batch shell is
          spent. *)
       Pbatch.iter batch (fun pkt ->
-          match i.on_tx pkt with `Handled -> () | `Continue -> local_tx t e pkt);
+          match i.on_tx pkt with
+          | `Handled -> ()
+          | `Continue -> local_one t e e.tx_lane ~decap_src:None pkt);
       Pbatch.recycle batch
-    | None -> local_tx_batch t e batch)
+    | None -> local_batch t e e.tx_lane batch ~decap_srcs:(Array.make n None))
 
 let from_net_one t pkt =
   let outer = Packet.decap_vxlan pkt in
@@ -1049,8 +873,10 @@ let from_net_one t pkt =
       | Some e -> (
         match e.intercept with
         | Some i -> (
-          match i.on_rx pkt with `Handled -> () | `Continue -> local_rx t e pkt ~outer_src)
-        | None -> local_rx t e pkt ~outer_src))
+          match i.on_rx pkt with
+          | `Handled -> ()
+          | `Continue -> local_one t e e.rx_lane ~decap_src:outer_src pkt)
+        | None -> local_one t e e.rx_lane ~decap_src:outer_src pkt))
     | None -> (
       match (t.net_hook, pkt.Packet.nsh) with
       | Some hook, None -> (
@@ -1099,7 +925,7 @@ let from_net_batch t batch =
       | None -> ()
       | Some (e, run, outers) ->
         vnic_run := None;
-        local_rx_batch t e run ~outers
+        local_batch t e e.rx_lane run ~decap_srcs:outers
     in
     let flush_all () =
       flush_nsh ();
@@ -1161,18 +987,6 @@ let from_net_batch t batch =
     flush_all ();
     Pbatch.recycle batch
   end
-
-(* The vSwitch's net-facing ingress, in the shared shape. *)
-module Net_ingress = struct
-  type nonrec t = t
-  type ctx = unit
-
-  let ingest t ~ctx:() pkt =
-    from_net t pkt;
-    `Handled
-
-  let ingest_batch t ~ctx:() batch = from_net_batch t batch
-end
 
 let set_flow_log_sink t sink = t.flow_log <- sink
 

@@ -219,10 +219,6 @@ val from_net_batch : t -> Pbatch.t -> unit
     into maximal in-order vectored runs (batch net hook, per-vNIC local
     RX) and falls back to the single-packet path between them. *)
 
-module Net_ingress : Ingress.S with type t = t and type ctx = unit
-(** The net-facing ingress in the shared {!Ingress.S} shape
-    ([ingest] = {!from_net}, [ingest_batch] = {!from_net_batch}). *)
-
 (** {1 Nezha integration hooks} *)
 
 type intercept = {
@@ -292,6 +288,16 @@ val slow_path : t -> Ruleset.t -> vpc:Vpc.t -> flow_tx:Five_tuple.t -> Ruleset.l
 
 val emit : t -> output -> unit
 (** Send through the installed transmit function. *)
+
+val forward : t -> out:Pbatch.t option -> Packet.t -> unit
+(** Send an encapsulated packet on: through {!emit} when [out] is
+    [None], otherwise into [out], the burst a batch driver is
+    collecting for {!emit_batch}. *)
+
+val encap_to_peer : t -> Pre_action.t -> Packet.t -> unit
+(** VXLAN-encapsulate a tenant packet toward the server hosting its peer
+    (the pre-actions' mapping result), or the gateway when the mapping
+    is unknown. *)
 
 val deliver_local : t -> Vnic.id -> Packet.t -> unit
 (** Count and hand a packet to the local VM. *)

@@ -168,6 +168,11 @@ let make_local () =
   Ruleset.add_mapping rs
     { Vnic.Addr.vpc = Vpc.make 5; ip = ip "10.0.0.2" }
     (ip "192.168.0.2");
+  (* A peer offloaded to two FEs: its FE choice hashes the full tuple, so
+     its megaflow entry is uncacheable and every packet walks. *)
+  Ruleset.set_mapping_multi rs
+    { Vnic.Addr.vpc = Vpc.make 5; ip = ip "10.0.0.5" }
+    [| ip "192.168.0.3"; ip "192.168.0.4" |];
   (match Vswitch.add_vnic vs vnic_a rs with
   | Ok () -> ()
   | Error _ -> Alcotest.fail "vnic must fit");
@@ -177,13 +182,15 @@ let flag_of = function 0 -> Packet.syn | 1 -> Packet.ack | _ -> Packet.fin_ack
 
 (* Flow classes: 0/1 mapped peer (distinct sessions sharing the
    megaflow), 2 routed-but-unmapped (gateway), 3 unroutable (No_route
-   drop group, never memoized). *)
+   drop group, never memoized), 4 peer mapped to two FEs (uncacheable
+   megaflow entry). *)
 let tx_of_spec (flow_i, flag_i) =
   let dst, sport =
     match flow_i with
     | 0 -> ("10.0.0.2", 40000)
     | 1 -> ("10.0.0.2", 40001)
     | 2 -> ("10.0.0.77", 40002)
+    | 4 -> ("10.0.0.5", 40004)
     | _ -> ("99.9.9.9", 40003)
   in
   Packet.create ~vpc:(Vpc.make 5)
@@ -229,9 +236,10 @@ let run_local_diff ~inject_single ~inject_batch specs =
   local_observed wa = local_observed wb
 
 let spec_gen = QCheck.(list_of_size Gen.(int_range 1 40) (pair (int_range 0 3) (int_range 0 2)))
+let tx_spec_gen = QCheck.(list_of_size Gen.(int_range 1 40) (pair (int_range 0 4) (int_range 0 2)))
 
 let qtest_local_tx =
-  QCheck.Test.make ~name:"batch TX == N singles (local path)" ~count:60 spec_gen
+  QCheck.Test.make ~name:"batch TX == N singles (local path)" ~count:60 tx_spec_gen
     (run_local_diff
        ~inject_single:(fun w s -> Vswitch.from_vm w.lvs vnic_a.Vnic.id (tx_of_spec s))
        ~inject_batch:(fun w specs ->
