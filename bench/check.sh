@@ -384,6 +384,9 @@ assert doc["recovered"] is True, \
     "chaos run did not recover: end_loss %.4f" % doc["end_loss"]
 assert doc["conservation_ok"] is True, \
     "BE conservation broken (conservation_ok=%r)" % doc["conservation_ok"]
+assert doc["controller_conservation_ok"] is True, \
+    "controller conservation broken after failover and scale-out (rpc_failures=%d)" \
+    % doc["rpc_failures"]
 assert doc["tracked"] == (doc["acked"] + doc["local_fallbacks"]
                           + doc["dropped"] + doc["outstanding_end"]), \
     "tracked %d != acked %d + fallbacks %d + dropped %d + outstanding %d" \
@@ -395,7 +398,8 @@ assert doc["injected_drops"] > 0 and doc["partition_drops"] > 0, \
 assert len(doc["samples"]) > 40, \
     "expected > 40 samples, got %d" % len(doc["samples"])
 print("ok: recovered (end loss %.4f), conservation holds over %d tracked sends"
-      % (doc["end_loss"], doc["tracked"]))
+      " and at the controller (%d RPCs abandoned)"
+      % (doc["end_loss"], doc["tracked"], doc["rpc_failures"]))
 PY
 else
   echo "python3 not found; relying on the CLI's --check gate"

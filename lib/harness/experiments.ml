@@ -559,6 +559,8 @@ type chaos_result = {
   end_loss : float;
   recovered : bool;
   conservation_ok : bool;
+  controller_conservation_ok : bool;
+  rpc_failures : int;
 }
 
 (* Scripted fault schedule (times relative to load start): a loss ramp,
@@ -668,6 +670,8 @@ let chaos ?(seed = 42) ?(loss = 0.005) ?(partition = true) ?(duration = 13.0)
       v c.Be.offload_tracked
       = v c.Be.offload_acked + v c.Be.local_fallback + v c.Be.offload_dropped
         + outstanding_end;
+    controller_conservation_ok = Controller.check_conservation t.Testbed.ctl;
+    rpc_failures = Controller.rpc_failures t.Testbed.ctl;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -1195,6 +1199,8 @@ let json_of_chaos_result (r : chaos_result) =
       ("end_loss", Json.Float r.end_loss);
       ("recovered", Json.Bool r.recovered);
       ("conservation_ok", Json.Bool r.conservation_ok);
+      ("controller_conservation_ok", Json.Bool r.controller_conservation_ok);
+      ("rpc_failures", Json.Int r.rpc_failures);
       ("samples", Json.List (List.map json_of_chaos_sample r.samples));
     ]
 

@@ -142,6 +142,9 @@ type chaos_result = {
   recovered : bool;  (** [end_loss <= 1%] *)
   conservation_ok : bool;
       (** [tracked = acked + local_fallbacks + dropped + outstanding_end] *)
+  controller_conservation_ok : bool;
+      (** {!Nezha_core.Controller.check_conservation} at the end of the run *)
+  rpc_failures : int;  (** controller RPCs abandoned after their retries *)
 }
 
 val chaos :

@@ -5,56 +5,45 @@ open Nezha_vswitch
 
 type config = {
   report_interval : float;
-  offload_threshold : float;
-  scale_threshold : float;
-  safe_level : float;
-  overload_level : float;
-  initial_fes : int;
   min_fes : int;
-  learning_interval : float;
-  rtt : float;
-  rpc : Rpc_policy.t;
-  push_bytes_per_s : float;
   ping_interval : float;
   ping_misses_to_fail : int;
   fe_cpu_max : float;
-  fe_mem_max : float;
   auto_offload : bool;
   auto_scale : bool;
   auto_fallback : bool;
   fallback_idle_ticks : int;
   placement : Placement.policy;
-  ewma_alpha : float;
-  fe_pressure_weight : float;
   slo : Slo.config option;
 }
 
 let default_config =
   {
     report_interval = 1.0;
-    offload_threshold = 0.70;
-    scale_threshold = 0.40;
-    safe_level = 0.40;
-    overload_level = 0.95;
-    initial_fes = 4;
     min_fes = 4;
-    learning_interval = 0.2;
-    rtt = 0.0005;
-    rpc = Rpc_policy.default;
-    push_bytes_per_s = 200e6;
     ping_interval = 0.5;
     ping_misses_to_fail = 3;
     fe_cpu_max = 0.30;
-    fe_mem_max = 0.50;
     auto_offload = true;
     auto_scale = true;
     auto_fallback = false;
     fallback_idle_ticks = 5;
     placement = Placement.Least_loaded;
-    ewma_alpha = 0.3;
-    fe_pressure_weight = 0.05;
     slo = None;
   }
+
+(* Fixed policy values (thresholds are utilization fractions). *)
+let offload_threshold = 0.70 (* §4.2.1, Fig. 8: offload the heaviest vNIC above this *)
+let scale_threshold = 0.40 (* Fig. 8: an FE host above this CPU scales out or in *)
+let safe_level = 0.40 (* §4.2.2: fall back only with the BE well below this *)
+let overload_level = 0.95 (* Fig. 13: a report above this is an overload occurrence *)
+let initial_fes = 4 (* App. B.2: FEs per fresh offload *)
+let learning_interval = 0.2 (* §4.2.1: vNIC-server learning completes within 200 ms *)
+let rtt = 0.0005 (* in-flight slack on top of the learning interval *)
+let push_bytes_per_s = 200e6 (* §4.2.1: rule-table push bandwidth to an FE *)
+let fe_mem_max = 0.50 (* §4.2.1: idle-candidate memory ceiling *)
+let ewma_alpha = 0.3 (* smoothing of the per-server CPU load signal (p2c) *)
+let fe_pressure_weight = 0.05 (* load signal per vNIC already steered at a server *)
 
 type offload = {
   key : int * int; (* (original be_server, vnic id) *)
@@ -80,19 +69,14 @@ type offload = {
    re-advertises (vnic, vni, FE set, saved tables) on boot and on
    change; each FE service lives on its node): the registry is the
    rendezvous both controllers of an HA pair share, not controller
-   memory — which is exactly why a primary crash cannot lose it. *)
-module Registry = struct
-  type entry = {
-    mutable r_be_server : Topology.server_id;
-    r_vnic : Vnic.t;
-    r_vni : int;
-    r_ruleset : Ruleset.t;
-    mutable r_fe_servers : Topology.server_id list;
-    mutable r_be : Be.t option;
-  }
+   memory — which is exactly why a primary crash cannot lose it.
 
+   The offloads are held as copied snapshots, never as a controller's
+   own records: a revived stale primary mutates its records before its
+   fence refuses the command, and that must not leak into the registry. *)
+module Registry = struct
   type t = {
-    offloads : (int * int, entry) Hashtbl.t;
+    offloads : (int * int, offload) Hashtbl.t;
     fes : (int, Fe.t) Hashtbl.t;
   }
 
@@ -146,9 +130,9 @@ let config t = t.cfg
 let fabric t = t.fabric
 let monitor t = t.monitor
 
-(* Control-plane RPC latency: median [rpc.latency] with a log-normal
-   tail, which is what produces Table 4's P999/median spread. *)
-let rpc t = t.cfg.rpc.Rpc_policy.latency *. Rng.lognormal t.rng ~mu:0.0 ~sigma:0.6
+(* Control-plane RPC latency: median [Rpc_policy.default.latency] with a
+   log-normal tail, which is what produces Table 4's P999/median spread. *)
+let rpc t = Rpc_policy.default.latency *. Rng.lognormal t.rng ~mu:0.0 ~sigma:0.6
 
 (* One controller→server RPC over the (possibly impaired) management
    path.  Delivery is decided by the fault plane; a lost attempt retries
@@ -190,13 +174,13 @@ let rpc_to t server k =
     t.rpc_attempts <- t.rpc_attempts + 1;
     if delivered () then
       Sim.post t.sim ~delay:(rpc t) (fun _ -> k true)
-    else if n >= t.cfg.rpc.Rpc_policy.max_retries then begin
+    else if n >= Rpc_policy.default.max_retries then begin
       t.rpc_failures <- t.rpc_failures + 1;
-      Sim.post t.sim ~delay:t.cfg.rpc.Rpc_policy.timeout (fun _ -> k false)
+      Sim.post t.sim ~delay:Rpc_policy.default.timeout (fun _ -> k false)
     end
     else begin
       t.rpc_retries <- t.rpc_retries + 1;
-      let backoff = Rpc_policy.retry_delay t.cfg.rpc ~attempt:n in
+      let backoff = Rpc_policy.retry_delay Rpc_policy.default ~attempt:n in
       Sim.post t.sim ~delay:backoff (fun _ -> attempt (n + 1))
     end
   in
@@ -233,7 +217,7 @@ let load_signal t s =
   in
   let pressure =
     match Hashtbl.find_opt t.fe_services s with
-    | Some fe -> t.cfg.fe_pressure_weight *. float_of_int (Fe.served_count fe)
+    | Some fe -> fe_pressure_weight *. float_of_int (Fe.served_count fe)
     | None -> 0.0
   in
   base +. pressure
@@ -249,10 +233,25 @@ let fe_service_ensure t s =
     (match t.telemetry with Some reg -> Fe.register_telemetry fe reg | None -> ());
     fe
 
-let install_be t ~vs ~vnic ~vni ~fes ~fallback_ruleset =
-  let be = Be.install ~vs ~vnic ~vni ~fes ?fallback_ruleset () in
-  (match t.telemetry with Some reg -> Be.register_telemetry be reg | None -> ());
-  be
+let server_ip t s = Topology.underlay_ip (Fabric.topology t.fabric) s
+let fe_ips t servers = Array.of_list (List.map (server_ip t) servers)
+
+(* Seconds to push an offload's rule tables to one FE. *)
+let push_time o = float_of_int (Ruleset.memory_bytes o.saved_ruleset) /. push_bytes_per_s
+
+(* Active offloads, newest first. *)
+let offloads t = List.filter (fun o -> o.active) t.offload_order
+
+(* Active offloads of the vNIC at [addr]. *)
+let offloads_serving t addr =
+  Hashtbl.fold
+    (fun _ o acc -> if o.active && Vnic.Addr.equal (Vnic.addr o.vnic) addr then o :: acc else acc)
+    t.offload_tbl []
+
+(* Old targets keep serving in-flight packets through the learning
+   window; [release] runs after it unless this controller died. *)
+let after_learning_window t release =
+  Sim.post t.sim ~delay:(learning_interval +. rtt) (fun _ -> if t.alive then release ())
 
 (* ------------------------------------------------------------------ *)
 (* Epoch fencing (DESIGN.md §13).  Every command that mutates dataplane
@@ -284,24 +283,31 @@ let registry_sync t o =
   match t.registry with
   | None -> ()
   | Some reg ->
-    if o.active then begin
-      match Hashtbl.find_opt reg.Registry.offloads o.key with
-      | Some e ->
-        e.Registry.r_be_server <- o.be_server;
-        e.Registry.r_fe_servers <- o.fe_servers;
-        e.Registry.r_be <- o.be
-      | None ->
-        Hashtbl.replace reg.Registry.offloads o.key
-          {
-            Registry.r_be_server = o.be_server;
-            r_vnic = o.vnic;
-            r_vni = o.vni;
-            r_ruleset = o.saved_ruleset;
-            r_fe_servers = o.fe_servers;
-            r_be = o.be;
-          }
-    end
+    if o.active then
+      (* A copy (see [Registry]); [idle_ticks] is this controller's own. *)
+      Hashtbl.replace reg.Registry.offloads o.key { o with idle_ticks = 0 }
     else Hashtbl.remove reg.Registry.offloads o.key
+
+(* (Re)install [o]'s BE tracker on [vs], steering to its FEs with the
+   saved tables as the local fallback.  A replacement carries the stage
+   of the tracker it replaces (final when there is none). *)
+let install_be ?stage t o vs =
+  let carried = match o.be with Some old -> Be.stage old | None -> Be.Final in
+  let be =
+    Be.install ~vs ~vnic:o.vnic ~vni:o.vni ~fes:(fe_ips t o.fe_servers)
+      ~fallback_ruleset:o.saved_ruleset ()
+  in
+  (match t.telemetry with Some reg -> Be.register_telemetry be reg | None -> ());
+  Be.set_stage be (Option.value stage ~default:carried);
+  o.be <- Some be;
+  registry_sync t o;
+  be
+
+(* Configure a replica of [o]'s saved tables on [s], pointed at the BE. *)
+let serve_replica t o s =
+  let fe = fe_service_ensure t s in
+  let replica = Ruleset.clone o.saved_ruleset in
+  Result.is_ok (Fe.serve fe ~vnic:o.vnic ~ruleset:replica ~be:(server_ip t o.be_server))
 
 (* ------------------------------------------------------------------ *)
 (* FE candidate selection (§4.2.1, App. B.1): idle vSwitches, same ToR
@@ -325,7 +331,7 @@ let select_fe_candidates ?(version_filter = fun _ -> true) t ~be_server ~exclude
        | None -> false)
     &&
     let cpu, mem = utilization_of t s in
-    cpu <= t.cfg.fe_cpu_max && mem <= t.cfg.fe_mem_max
+    cpu <= t.cfg.fe_cpu_max && mem <= fe_mem_max
   in
   let same_rack s = Topology.same_rack topo s be_server in
   let servers = servers_with_vswitch t in
@@ -359,7 +365,7 @@ let propagate_learning t ~addr ~targets =
               | None -> ()
               | Some current ->
                 if current <> targets then begin
-                  let delay = Rng.float t.rng t.cfg.learning_interval in
+                  let delay = Rng.float t.rng learning_interval in
                   if delay > !max_delay then max_delay := delay;
                   Sim.post t.sim ~delay (fun _ ->
                       Ruleset.set_mapping_multi rs addr targets;
@@ -368,10 +374,6 @@ let propagate_learning t ~addr ~targets =
           (Vswitch.vnic_ids vs))
     (servers_with_vswitch t);
   !max_delay
-
-let fe_ips t servers =
-  Array.of_list
-    (List.map (fun s -> Topology.underlay_ip (Fabric.topology t.fabric) s) servers)
 
 let update_routing t o =
   if not (fence_gateway t) then 0.0
@@ -407,22 +409,20 @@ let fallback_vnic t o =
         o.falling_back <- true;
         (match o.be with Some be -> Be.set_stage be Be.Dual | None -> ());
         let addr = Vnic.addr o.vnic in
-        let be_ip = [| Topology.underlay_ip (Fabric.topology t.fabric) o.be_server |] in
+        let be_ip = [| server_ip t o.be_server |] in
         if fence_gateway t then Gateway.set_route (Fabric.gateway t.fabric) addr be_ip;
         ignore (propagate_learning t ~addr ~targets:be_ip : float);
-        Sim.post t.sim ~delay:(t.cfg.learning_interval +. t.cfg.rtt) (fun _ ->
-            if t.alive then begin
-              (match o.be with Some be -> Be.uninstall be | None -> ());
-              List.iter
-                (fun s ->
-                  match Hashtbl.find_opt t.fe_services s with
-                  | Some fe -> Fe.unserve fe addr
-                  | None -> ())
-                o.fe_servers;
-              o.active <- false;
-              Hashtbl.remove t.offload_tbl o.key;
-              registry_sync t o
-            end);
+        after_learning_window t (fun () ->
+            (match o.be with Some be -> Be.uninstall be | None -> ());
+            List.iter
+              (fun s ->
+                match Hashtbl.find_opt t.fe_services s with
+                | Some fe -> Fe.unserve fe addr
+                | None -> ())
+              o.fe_servers;
+            o.active <- false;
+            Hashtbl.remove t.offload_tbl o.key;
+            registry_sync t o);
         Ok ())
   end
 
@@ -440,10 +440,9 @@ let rec watch_fe_host t s =
       ~on_fail:(fun ~key -> failover t key)
 
 and failover t dead_server =
-  (match (if t.alive then Hashtbl.find_opt t.fe_services dead_server else None) with
+  match (if t.alive then Hashtbl.find_opt t.fe_services dead_server else None) with
   | None -> ()
   | Some fe ->
-    let served = Fe.served_vnics fe in
     List.iter
       (fun addr ->
         (* Unserve *before* re-provisioning: scale_out below is free to
@@ -451,28 +450,30 @@ and failover t dead_server =
            would silently wipe that fresh configuration while the join
            RPC still adds it to the routing — a blackhole. *)
         Fe.unserve fe addr;
-        let victims =
-          Hashtbl.fold
-            (fun _ o acc ->
-              if o.active && Vnic.Addr.equal (Vnic.addr o.vnic) addr then o :: acc else acc)
-            t.offload_tbl []
-        in
-        List.iter
-          (fun o ->
-            o.fe_servers <- List.filter (fun s -> s <> dead_server) o.fe_servers;
-            (* An empty target set cannot be routed (and Gateway.set_route
-               rejects it); the fallback below handles that case. *)
-            if o.fe_servers <> [] then ignore (update_routing t o : float);
-            let missing = t.cfg.min_fes - List.length o.fe_servers in
-            let added =
-              if missing > 0 then scale_out t ~avoid:[ dead_server ] o ~add:missing else 0
-            in
-            (* Every FE gone and no replacement available: restore local
-               serving rather than blackhole the vNIC. *)
-            if o.fe_servers = [] && added = 0 then
-              ignore (fallback_vnic t o : (unit, string) result))
-          victims)
-      served)
+        drop_fe_server t dead_server addr)
+      (Fe.served_vnics fe)
+
+(* Take [server] out of every offload serving [addr] and top each back
+   up to [min_fes].  An offload left with no FE and no replacement
+   restores local serving rather than blackhole the vNIC. *)
+and drop_fe_server t server addr =
+  List.iter
+    (fun o ->
+      o.fe_servers <- List.filter (fun s -> s <> server) o.fe_servers;
+      (* An empty target set cannot be routed (and Gateway.set_route
+         rejects it); the fallback below handles that case. *)
+      if o.fe_servers <> [] then ignore (update_routing t o : float);
+      let missing = t.cfg.min_fes - List.length o.fe_servers in
+      let added = if missing > 0 then scale_out t ~avoid:[ server ] o ~add:missing else 0 in
+      if o.fe_servers = [] && added = 0 then ignore (fallback_vnic t o : (unit, string) result))
+    (offloads_serving t addr)
+
+(* A replica on a server that becomes an FE of [o]: configured, and its
+   host health-checked. *)
+and provision_fe t o s =
+  let ok = serve_replica t o s in
+  if ok then watch_fe_host t s;
+  ok
 
 (* ------------------------------------------------------------------ *)
 (* Scale-out (§4.3) *)
@@ -485,43 +486,36 @@ and scale_out t ?(avoid = []) o ~add =
       select_fe_candidates t ~be_server:o.be_server
         ~exclude:(avoid @ o.fe_servers) ~count:add
     in
-    let configured = ref [] in
-    List.iter
-      (fun s ->
-        let fe = fe_service_ensure t s in
-        let replica = Ruleset.clone o.saved_ruleset in
-        match
-          Fe.serve fe ~vnic:o.vnic ~ruleset:replica
-            ~be:(Topology.underlay_ip (Fabric.topology t.fabric) o.be_server)
-        with
-        | Ok () ->
-          configured := s :: !configured;
-          watch_fe_host t s
-        | Error _ -> ())
-      candidates;
-    let added = List.length !configured in
+    let configured = List.filter (provision_fe t o) candidates in
+    let added = List.length configured in
     if added > 0 then begin
       t.scale_out_events <- t.scale_out_events + 1;
       t.fes_provisioned <- t.fes_provisioned + added;
       (* Config push happens in the background; each new FE joins the
          routing after its push RPC lands (with retries under faults) —
-         FEs whose config RPC ultimately fails never join. *)
-      let push_time =
-        float_of_int (Ruleset.memory_bytes o.saved_ruleset) /. t.cfg.push_bytes_per_s
-      in
+         FEs whose config RPC ultimately fails never join, and their
+         replica is released. *)
+      let push_time = push_time o in
       let joined = ref [] in
       let remaining = ref added in
       List.iter
         (fun s ->
           rpc_to t s (fun ok ->
               Sim.post t.sim ~delay:push_time (fun _ ->
-                  if ok then joined := s :: !joined;
+                  if ok then joined := s :: !joined
+                  else if not (List.mem s o.fe_servers) then begin
+                    match Hashtbl.find_opt t.fe_services s with
+                    | Some fe ->
+                      Fe.unserve fe (Vnic.addr o.vnic);
+                      if Fe.served_count fe = 0 then Monitor.unwatch t.monitor ~key:s
+                    | None -> ()
+                  end;
                   decr remaining;
                   if !remaining = 0 && o.active && !joined <> [] then begin
                     o.fe_servers <- o.fe_servers @ List.rev !joined;
                     ignore (update_routing t o : float)
                   end)))
-        (List.rev !configured)
+        configured
     end;
     added
   end
@@ -532,8 +526,7 @@ and scale_out t ?(avoid = []) o ~add =
 let find_offload t ~server ~vnic =
   Hashtbl.find_opt t.offload_tbl (server, Vnic.id_to_int vnic)
 
-let offload_vnic t ~server ~vnic ?num_fes ?version_filter () =
-  let num_fes = Option.value num_fes ~default:t.cfg.initial_fes in
+let offload_vnic t ~server ~vnic ?(num_fes = initial_fes) ?version_filter () =
   match Fabric.vswitch_opt t.fabric server with
   | None -> Error "no vSwitch on this server"
   | Some _ when not (fenced t server) -> Error "fenced: stale controller epoch"
@@ -550,7 +543,6 @@ let offload_vnic t ~server ~vnic ?num_fes ?version_filter () =
         in
         if fe_servers = [] then Error "no idle vSwitches available as FEs"
         else begin
-          let now = Sim.now t.sim in
           let o =
             {
               key = (server, Vnic.id_to_int vnic);
@@ -558,7 +550,7 @@ let offload_vnic t ~server ~vnic ?num_fes ?version_filter () =
               vnic = vnic_rec;
               vni = Ruleset.vni rs;
               saved_ruleset = rs;
-              triggered_at = now;
+              triggered_at = Sim.now t.sim;
               be = None;
               fe_servers = [];
               completed_at = None;
@@ -575,9 +567,7 @@ let offload_vnic t ~server ~vnic ?num_fes ?version_filter () =
              retry under faults), then wire the locations, then the
              gateway, then learning.  The join fires once every push RPC
              has resolved — delivered or given up. *)
-          let push_time =
-            float_of_int (Ruleset.memory_bytes rs) /. t.cfg.push_bytes_per_s
-          in
+          let push_time = push_time o in
           let configured = ref [] in
           let remaining = ref (List.length fe_servers) in
           let stage2 sim =
@@ -590,12 +580,7 @@ let offload_vnic t ~server ~vnic ?num_fes ?version_filter () =
               | fes ->
                 o.fe_servers <- List.rev fes;
                 t.fes_provisioned <- t.fes_provisioned + List.length fes;
-                let be =
-                  install_be t ~vs ~vnic:vnic_rec ~vni:o.vni ~fes:(fe_ips t o.fe_servers)
-                    ~fallback_ruleset:(Some o.saved_ruleset)
-                in
-                o.be <- Some be;
-                registry_sync t o;
+                let be = install_be ~stage:Be.Dual t o vs in
                 (* Stage 2: gateway + learning. *)
                 let gw_delay = rpc t in
                 Sim.post sim ~delay:gw_delay (fun sim' ->
@@ -607,9 +592,7 @@ let offload_vnic t ~server ~vnic ?num_fes ?version_filter () =
                         ((done_at -. o.triggered_at) *. 1000.0);
                       (* Final stage: retention window, then drop
                          the local tables. *)
-                      Sim.post sim'
-                        ~delay:(t.cfg.learning_interval +. t.cfg.rtt)
-                        (fun _ ->
+                      Sim.post sim' ~delay:(learning_interval +. rtt) (fun _ ->
                           if o.active && not o.falling_back then begin
                             Vswitch.drop_ruleset vs vnic;
                             Be.set_stage be Be.Final
@@ -621,20 +604,7 @@ let offload_vnic t ~server ~vnic ?num_fes ?version_filter () =
             (fun s ->
               rpc_to t s (fun ok ->
                   Sim.post t.sim ~delay:push_time (fun sim ->
-                      (if ok then begin
-                         let fe = fe_service_ensure t s in
-                         let replica = Ruleset.clone rs in
-                         match
-                           Fe.serve fe ~vnic:vnic_rec ~ruleset:replica
-                             ~be:
-                               (Topology.underlay_ip (Fabric.topology t.fabric)
-                                  server)
-                         with
-                         | Ok () ->
-                           configured := s :: !configured;
-                           watch_fe_host t s
-                         | Error _ -> ()
-                       end);
+                      if ok && provision_fe t o s then configured := s :: !configured;
                       decr remaining;
                       if !remaining = 0 then
                         Sim.post sim ~delay:(rpc t) (fun sim' -> stage2 sim'))))
@@ -654,23 +624,11 @@ let scale_in_server t server =
   | Some fe ->
     Hashtbl.replace t.scaled_in_until server
       (Sim.now t.sim +. (30.0 *. t.cfg.report_interval));
-    let served = Fe.served_vnics fe in
     List.iter
       (fun addr ->
-        Hashtbl.iter
-          (fun _ o ->
-            if o.active && Vnic.Addr.equal (Vnic.addr o.vnic) addr then begin
-              o.fe_servers <- List.filter (fun s -> s <> server) o.fe_servers;
-              if o.fe_servers <> [] then ignore (update_routing t o : float);
-              let missing = t.cfg.min_fes - List.length o.fe_servers in
-              if missing > 0 then ignore (scale_out t o ~add:missing : int)
-            end)
-          t.offload_tbl;
-        (* Retain the tables through the learning window so in-flight
-           packets still process, then release. *)
-        Sim.post t.sim ~delay:(t.cfg.learning_interval +. t.cfg.rtt) (fun _ ->
-            if t.alive then Fe.unserve fe addr))
-      served;
+        drop_fe_server t server addr;
+        after_learning_window t (fun () -> Fe.unserve fe addr))
+      (Fe.served_vnics fe);
     Monitor.unwatch t.monitor ~key:server
 
 (* ------------------------------------------------------------------ *)
@@ -702,7 +660,6 @@ let scale_in_offload t o ~remove =
       let victims = Placement.take remove ranked in
       o.fe_servers <- List.filter (fun s -> not (List.mem s victims)) o.fe_servers;
       ignore (update_routing t o : float);
-      registry_sync t o;
       List.iter
         (fun s ->
           (* A short re-pick holdoff so the next scale-out doesn't
@@ -713,10 +670,7 @@ let scale_in_offload t o ~remove =
           | None -> ()
           | Some fe ->
             if Fe.served_count fe <= 1 then Monitor.unwatch t.monitor ~key:s;
-            (* Retain the tables through the learning window so
-               in-flight packets still process, then release. *)
-            Sim.post t.sim ~delay:(t.cfg.learning_interval +. t.cfg.rtt)
-              (fun _ -> if t.alive then Fe.unserve fe (Vnic.addr o.vnic)))
+            after_learning_window t (fun () -> Fe.unserve fe (Vnic.addr o.vnic)))
         victims;
       List.length victims
     end
@@ -725,13 +679,7 @@ let scale_in_offload t o ~remove =
 (* Distinct FE servers across active offloads — the pool the SLO loop
    sizes. *)
 let slo_pool_servers t =
-  let tbl = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun _ o ->
-      if o.active then
-        List.iter (fun s -> Hashtbl.replace tbl s ()) o.fe_servers)
-    t.offload_tbl;
-  List.sort compare (Hashtbl.fold (fun s () acc -> s :: acc) tbl [])
+  List.sort_uniq compare (List.concat_map (fun o -> o.fe_servers) (offloads t))
 
 let slo_tick t =
   match t.slo_state with
@@ -772,11 +720,11 @@ let slo_tick t =
       | Slo.Scale_out add -> (
         (* Grow the thinnest offload — the likeliest tail contributor
            (deterministic tie-break by key). *)
-        match List.sort (by_fe_count true) (List.filter (fun o -> o.active) t.offload_order) with
+        match List.sort (by_fe_count true) (offloads t) with
         | o :: _ -> ignore (scale_out t o ~add : int)
         | [] -> ())
       | Slo.Scale_in remove -> (
-        match List.sort (by_fe_count false) (List.filter (fun o -> o.active) t.offload_order) with
+        match List.sort (by_fe_count false) (offloads t) with
         | o :: _ -> ignore (scale_in_offload t o ~remove : int)
         | [] -> ())
     end
@@ -806,6 +754,14 @@ let note_crash t sid =
       end)
     t.offload_tbl
 
+(* Replace [o]'s lost BE tracker, fenced at its host. *)
+let repair_be t o =
+  match Fabric.vswitch_opt t.fabric o.be_server with
+  | Some vs when fenced t o.be_server ->
+    ignore (install_be t o vs : Be.t);
+    t.repairs <- t.repairs + 1
+  | Some _ | None -> ()
+
 let reconcile_server t sid =
   if t.alive then begin
     t.reconciles <- t.reconciles + 1;
@@ -822,40 +778,18 @@ let reconcile_server t sid =
                 if
                   o.active && List.mem sid o.fe_servers
                   && (not (Fe.serves fe (Vnic.addr o.vnic)))
-                  && fenced t sid
-                then begin
-                  match
-                    Fe.serve fe ~vnic:o.vnic ~ruleset:(Ruleset.clone o.saved_ruleset)
-                      ~be:(Topology.underlay_ip (Fabric.topology t.fabric) o.be_server)
-                  with
-                  | Ok () -> t.repairs <- t.repairs + 1
-                  | Error _ -> ()
-                end)
+                  && fenced t sid && serve_replica t o sid
+                then t.repairs <- t.repairs + 1)
               t.offload_tbl);
           (* BE half: the node re-advertised its offloads; install a
              fresh tracker for each (the pre-crash instance is closed
              for good). *)
           Hashtbl.iter
             (fun _ o ->
-              if o.active && o.be_server = sid then begin
-                match Fabric.vswitch_opt t.fabric sid with
-                | Some vs
-                  when (match o.be with Some be -> Be.closed be | None -> false)
-                       && fenced t sid ->
-                  let stage =
-                    match o.be with Some b -> Be.stage b | None -> Be.Final
-                  in
-                  let be =
-                    install_be t ~vs ~vnic:o.vnic ~vni:o.vni
-                      ~fes:(fe_ips t o.fe_servers)
-                      ~fallback_ruleset:(Some o.saved_ruleset)
-                  in
-                  Be.set_stage be stage;
-                  o.be <- Some be;
-                  t.repairs <- t.repairs + 1;
-                  registry_sync t o
-                | Some _ | None -> ()
-              end)
+              if
+                o.active && o.be_server = sid
+                && match o.be with Some be -> Be.closed be | None -> false
+              then repair_be t o)
             t.offload_tbl
         end)
   end
@@ -890,33 +824,15 @@ let repair_offload t o =
       (* BE missing and its host is healthy again. *)
       (match o.be with
       | Some be when not (Be.closed be) -> ()
-      | _ -> (
-        match Fabric.vswitch_opt t.fabric o.be_server with
-        | Some vs when healthy o.be_server && fenced t o.be_server ->
-          let stage = match o.be with Some b -> Be.stage b | None -> Be.Final in
-          let be =
-            install_be t ~vs ~vnic:o.vnic ~vni:o.vni ~fes:(fe_ips t o.fe_servers)
-              ~fallback_ruleset:(Some o.saved_ruleset)
-          in
-          Be.set_stage be stage;
-          o.be <- Some be;
-          t.repairs <- t.repairs + 1;
-          registry_sync t o
-        | Some _ | None -> ()));
+      | _ -> if healthy o.be_server then repair_be t o);
       (* Intended FEs not serving. *)
       List.iter
         (fun s ->
           match Hashtbl.find_opt t.fe_services s with
           | Some fe when (not (Fe.serves fe addr)) && healthy s && fenced t s ->
             rpc_to t s (fun ok ->
-                if ok && o.active && not (Fe.serves fe addr) then begin
-                  match
-                    Fe.serve fe ~vnic:o.vnic ~ruleset:(Ruleset.clone o.saved_ruleset)
-                      ~be:(Topology.underlay_ip (Fabric.topology t.fabric) o.be_server)
-                  with
-                  | Ok () -> t.repairs <- t.repairs + 1
-                  | Error _ -> ()
-                end)
+                if ok && o.active && (not (Fe.serves fe addr)) && serve_replica t o s then
+                  t.repairs <- t.repairs + 1)
           | Some _ | None -> ())
         o.fe_servers;
       (* Route lost entirely (never with a live gateway, but cheap to
@@ -960,11 +876,8 @@ let update_tenant_rules t o f =
   (match Fabric.vswitch_opt t.fabric o.be_server with
   | Some vs -> (
     match Vswitch.ruleset vs o.vnic.Vnic.id with
-    | Some rs when rs != o.saved_ruleset ->
-      f rs;
-      Vswitch.invalidate_cached_flows vs o.vnic.Vnic.id;
-      ignore (Vswitch.sync_rule_memory vs o.vnic.Vnic.id : Admission.t)
-    | Some _ ->
+    | Some rs ->
+      if rs != o.saved_ruleset then f rs;
       Vswitch.invalidate_cached_flows vs o.vnic.Vnic.id;
       ignore (Vswitch.sync_rule_memory vs o.vnic.Vnic.id : Admission.t)
     | None -> ())
@@ -1022,20 +935,12 @@ let migrate_be t o ~to_server =
                     : Admission.t)
               | None -> ());
           let old_be = o.be in
-          let fes = fe_ips t o.fe_servers in
-          let be' =
-            install_be t ~vs:new_vs ~vnic:o.vnic ~vni:o.vni ~fes
-              ~fallback_ruleset:(Some o.saved_ruleset)
-          in
-          Be.set_stage be'
-            (match old_be with Some b -> Be.stage b | None -> Be.Final);
+          o.be_server <- to_server;
+          ignore (install_be t o new_vs : Be.t);
           (match old_be with Some b -> Be.uninstall b | None -> ());
           Vswitch.remove_vnic old_vs o.vnic.Vnic.id;
-          o.be <- Some be';
-          o.be_server <- to_server;
-          registry_sync t o;
           (* The sub-millisecond part: point every FE at the new BE. *)
-          let new_ip = Topology.underlay_ip (Fabric.topology t.fabric) to_server in
+          let new_ip = server_ip t to_server in
           let addr = Vnic.addr o.vnic in
           List.iter
             (fun s ->
@@ -1059,20 +964,12 @@ let pin_elephant t o flow =
       select_fe_candidates t ~be_server:o.be_server ~exclude:o.fe_servers ~count:1
     with
     | [] -> Error "no idle vSwitch available for a dedicated FE"
-    | s :: _ -> (
-      let fe = fe_service_ensure t s in
-      let replica = Ruleset.clone o.saved_ruleset in
-      match
-        Fe.serve fe ~vnic:o.vnic ~ruleset:replica
-          ~be:(Topology.underlay_ip (Fabric.topology t.fabric) o.be_server)
-      with
-      | Error _ -> Error "candidate FE lacks memory for the tables"
-      | Ok () ->
-        watch_fe_host t s;
-        (match o.be with
-        | Some be -> Be.pin_flow be flow (Topology.underlay_ip (Fabric.topology t.fabric) s)
-        | None -> ());
-        Ok s)
+    | s :: _ ->
+      if not (provision_fe t o s) then Error "candidate FE lacks memory for the tables"
+      else begin
+        (match o.be with Some be -> Be.pin_flow be flow (server_ip t s) | None -> ());
+        Ok s
+      end
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1131,7 +1028,7 @@ let consider_fallback t =
           let fe_busy =
             List.exists (fun s -> last_cpu t s > 0.05) o.fe_servers
           in
-          if (not fe_busy) && be_cpu < t.cfg.safe_level /. 2.0 then begin
+          if (not fe_busy) && be_cpu < safe_level /. 2.0 then begin
             o.idle_ticks <- o.idle_ticks + 1;
             if o.idle_ticks >= t.cfg.fallback_idle_ticks then
               ignore (fallback_vnic t o : (unit, string) result)
@@ -1152,10 +1049,10 @@ let report_tick t =
         (match Hashtbl.find_opt t.load_ewma s with
         | Some e -> Placement.Ewma.observe e !cpu
         | None ->
-          let e = Placement.Ewma.create ~alpha:t.cfg.ewma_alpha () in
+          let e = Placement.Ewma.create ~alpha:ewma_alpha () in
           Placement.Ewma.observe e !cpu;
           Hashtbl.replace t.load_ewma s e);
-        if !cpu > t.cfg.overload_level || !mem > t.cfg.overload_level then
+        if !cpu > overload_level || !mem > overload_level then
           Hashtbl.replace t.overloads s
             (1 + Option.value (Hashtbl.find_opt t.overloads s) ~default:0);
         let hosts_fes =
@@ -1164,7 +1061,7 @@ let report_tick t =
           | None -> false
         in
         (* Fig. 8 decision tree. *)
-        if hosts_fes && t.cfg.auto_scale && !cpu > t.cfg.scale_threshold then begin
+        if hosts_fes && t.cfg.auto_scale && !cpu > scale_threshold then begin
           let rf = remote_fraction t s in
           if rf > 0.5 then begin
             (* Remote pressure: scale out the offload served here —
@@ -1174,27 +1071,25 @@ let report_tick t =
             | Some fe -> (
               match Fe.served_vnics fe with
               | addr :: _ ->
-                Hashtbl.iter
-                  (fun _ o ->
-                    if o.active && Vnic.Addr.equal (Vnic.addr o.vnic) addr then begin
-                      let now = Sim.now t.sim in
-                      let recently =
-                        match Hashtbl.find_opt t.last_scaled o.key with
-                        | Some t0 -> now -. t0 < t.cfg.report_interval *. 1.5
-                        | None -> false
-                      in
-                      if not recently then begin
-                        Hashtbl.replace t.last_scaled o.key now;
-                        ignore (scale_out t o ~add:(List.length o.fe_servers) : int)
-                      end
+                List.iter
+                  (fun o ->
+                    let now = Sim.now t.sim in
+                    let recently =
+                      match Hashtbl.find_opt t.last_scaled o.key with
+                      | Some t0 -> now -. t0 < t.cfg.report_interval *. 1.5
+                      | None -> false
+                    in
+                    if not recently then begin
+                      Hashtbl.replace t.last_scaled o.key now;
+                      ignore (scale_out t o ~add:(List.length o.fe_servers) : int)
                     end)
-                  t.offload_tbl
+                  (offloads_serving t addr)
               | [] -> ())
             | None -> ()
           end
           else scale_in_server t s
         end
-        else if t.cfg.auto_offload && (!cpu > t.cfg.offload_threshold || !mem > t.cfg.offload_threshold)
+        else if t.cfg.auto_offload && (!cpu > offload_threshold || !mem > offload_threshold)
         then begin
           match heaviest_vnic t vs ~server:s ~by_memory:(!mem > !cpu) with
           | Some vid when find_offload t ~server:s ~vnic:vid = None ->
@@ -1304,20 +1199,15 @@ let adopt_from_registry t =
   | Some r ->
     let adopted = ref 0 in
     Hashtbl.iter
-      (fun key (e : Registry.entry) ->
+      (fun key snapshot ->
         if not (Hashtbl.mem t.offload_tbl key) then begin
           incr adopted;
+          let now = Sim.now t.sim in
           let o =
             {
-              key;
-              be_server = e.Registry.r_be_server;
-              vnic = e.Registry.r_vnic;
-              vni = e.Registry.r_vni;
-              saved_ruleset = e.Registry.r_ruleset;
-              triggered_at = Sim.now t.sim;
-              be = e.Registry.r_be;
-              fe_servers = e.Registry.r_fe_servers;
-              completed_at = Some (Sim.now t.sim);
+              snapshot with
+              triggered_at = now;
+              completed_at = Some now;
               active = true;
               falling_back = false;
               repairing = true;
@@ -1339,7 +1229,6 @@ let repairs t = t.repairs
 (* ------------------------------------------------------------------ *)
 (* Introspection *)
 
-let offloads t = List.filter (fun o -> o.active) t.offload_order
 let offload_vnic_id o = o.vnic.Vnic.id
 let offload_be_server o = o.be_server
 let offload_fe_servers o = o.fe_servers

@@ -17,20 +17,10 @@ open Nezha_vswitch
 
 type config = {
   report_interval : float;  (** utilization report period *)
-  offload_threshold : float;  (** §4.2.1 / Fig. 8: 0.70 *)
-  scale_threshold : float;  (** Fig. 8: 0.40 *)
-  safe_level : float;  (** target utilization after mitigation *)
-  overload_level : float;  (** what counts as an overload occurrence (Fig. 13) *)
-  initial_fes : int;  (** 4, App. B.2 *)
   min_fes : int;  (** failover floor, §4.4 *)
-  learning_interval : float;  (** vNIC-server learning, 200 ms (§4.2.1) *)
-  rtt : float;  (** in-flight retention slack *)
-  rpc : Rpc_policy.t;  (** control-plane RPC latency/timeout/retry policy *)
-  push_bytes_per_s : float;  (** rule-table push bandwidth to an FE *)
   ping_interval : float;
   ping_misses_to_fail : int;
   fe_cpu_max : float;  (** idle-candidate ceiling (CPU) *)
-  fe_mem_max : float;  (** idle-candidate ceiling (memory) *)
   auto_offload : bool;
   auto_scale : bool;
   auto_fallback : bool;
@@ -42,10 +32,6 @@ type config = {
       (** FE candidate selection: the paper's least-loaded ordering, or
           power-of-two-choices over the live load signal (ROADMAP
           item 4) *)
-  ewma_alpha : float;  (** smoothing of the per-server CPU load signal *)
-  fe_pressure_weight : float;
-      (** load-signal weight per vNIC already steered at a server, so
-          placements don't herd onto one momentarily-idle server *)
   slo : Slo.config option;
       (** when set, an {!Slo} loop rides the report tick: observed P99
           remote-hop latency (drained from every BE tracker) drives
@@ -55,15 +41,36 @@ type config = {
 
 val default_config : config
 
+(** {2 Fixed policy values}
+
+    Shared with the region-scale model ([Region_sim]).  Control-plane
+    RPCs follow {!Rpc_policy.default}. *)
+
+val offload_threshold : float
+(** 0.70: §4.2.1 / Fig. 8 offload trigger *)
+
+val overload_level : float
+(** 0.95: an overload occurrence (Fig. 13) *)
+
+val initial_fes : int
+(** 4: FEs per fresh offload (App. B.2) *)
+
+val fe_mem_max : float
+(** 0.50: idle-candidate memory ceiling *)
+
+val push_bytes_per_s : float
+(** 200 MB/s: rule-table push bandwidth *)
+
 type t
 
 type offload
 (** A live offload: one vNIC whose tables moved to a set of FEs. *)
 
-(** The collected BE re-advertisements plus the node-side FE service
-    handles (DESIGN.md §13).  Conceptually this state is owned by the
-    *nodes* — each BE re-advertises its offload on boot, each FE
-    service lives on its server — so it survives a controller crash;
+(** The collected BE re-advertisements, held as copied snapshots of
+    the offloads, plus the node-side FE service handles (DESIGN.md §13).
+    Conceptually this state is owned by the *nodes* — each BE
+    re-advertises its offload on boot, each FE service lives on its
+    server — so it survives a controller crash;
     the registry is the rendezvous an HA pair shares, which a standby
     rebuilds its world from on takeover. *)
 module Registry : sig
@@ -220,7 +227,8 @@ val last_mem : t -> Topology.server_id -> float
 
 val load_signal : t -> Topology.server_id -> float
 (** The p2c placement load signal: EWMA-smoothed reported CPU plus
-    [fe_pressure_weight] per vNIC already steered at the server. *)
+    0.05 per vNIC already steered at the server, so placements don't
+    herd onto one momentarily-idle server. *)
 
 val slo : t -> Slo.t option
 (** The SLO decision state when [config.slo] is set. *)
@@ -244,7 +252,9 @@ val rpc_retries : t -> int
 (** Control-plane RPC attempts lost to the fault plane and retried. *)
 
 val rpc_failures : t -> int
-(** RPCs abandoned after [rpc_max_retries] retries. *)
+(** RPCs abandoned after [Rpc_policy.max_retries] retries (of
+    {!Rpc_policy.default}).  An abandoned scale-out config RPC releases
+    the replica it was to activate. *)
 
 val overload_occurrences : t -> Topology.server_id -> int
 (** Report ticks with utilization above [overload_level] (Fig. 13). *)

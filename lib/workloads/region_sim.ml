@@ -3,6 +3,7 @@ open Nezha_net
 open Nezha_vswitch
 open Nezha_fabric
 module Placement = Nezha_core.Placement
+module Controller = Nezha_core.Controller
 
 (* Region-scale bridge: thousands of real vSwitches (one per server,
    rack-aligned onto the shards of a [Sim.Sharded] cluster) driven by
@@ -37,18 +38,12 @@ type config = {
   report_interval : float;
   scan_interval : float;
   ctl_latency : float;  (** control-plane RPC latency = cluster lookahead *)
-  num_fes : int;
   keep_share : float;  (** demand share the BE keeps once offloaded *)
-  offload_threshold : float;
-  overload_level : float;
-  fe_cpu_max : float;
-  fe_mem_max : float;
   hotspot_quantile : float;  (** CPS quantile above which spikes occur *)
   spikes_per_day : float;  (** Poisson mean per hotspot (Fig. 13) *)
   ramp_median : float;  (** compressed spike ramp median, seconds *)
   ramp_sigma : float;
   hold : float;  (** time a spike holds its peak *)
-  push_bytes_per_s : float;  (** rule/state push bandwidth (§4.2.1) *)
   rpc_rtt : float;
   (* --- crash-storm chaos (DESIGN.md §13) --- *)
   crash_rate : float;  (** Poisson mean crashes per server per day (0 = off) *)
@@ -73,18 +68,12 @@ let default_config =
     report_interval = 0.25;
     scan_interval = 0.25;
     ctl_latency = 0.01;
-    num_fes = 4;
     keep_share = 0.3;
-    offload_threshold = 0.70;
-    overload_level = 0.95;
-    fe_cpu_max = 0.30;
-    fe_mem_max = 0.50;
     hotspot_quantile = 0.97;
     spikes_per_day = 3.0;
     ramp_median = 12.0;
     ramp_sigma = 0.8;
     hold = 3.0;
-    push_bytes_per_s = 200e6;
     rpc_rtt = 0.002;
     crash_rate = 0.0;
     reboot_delay = 1.0;
@@ -239,7 +228,7 @@ let run cfg =
                 let ramp =
                   cfg.ramp_median *. Rng.lognormal srng ~mu:0.0 ~sigma:cfg.ramp_sigma
                 in
-                let peak = cfg.overload_level +. 0.05 +. Rng.float srng 0.25 in
+                let peak = Controller.overload_level +. 0.05 +. Rng.float srng 0.25 in
                 { t0; ramp; peak_add = peak -. p.Region.cpu; hold_s = cfg.hold })
           end
         in
@@ -375,7 +364,7 @@ let run cfg =
         else begin
           let eff = effective srvs srv now in
           srv.packets <- srv.packets +. (eff *. pps_per_unit *. cfg.tick);
-          if eff > cfg.overload_level then begin
+          if eff > Controller.overload_level then begin
             srv.over_ticks <- srv.over_ticks + 1;
             if not srv.over then begin
               srv.over <- true;
@@ -427,12 +416,12 @@ let run cfg =
     let p = profiles.(sid) in
     let state_bytes = 5.5e6 +. (p.Region.flows *. 94.5e6) in
     (2.0 *. cfg.rpc_rtt)
-    +. (state_bytes /. cfg.push_bytes_per_s
+    +. (state_bytes /. Controller.push_bytes_per_s
         *. Rng.lognormal ctl.rngs.(sid) ~mu:0.0 ~sigma:0.35)
   in
   let scan () =
     for sid = 0 to n - 1 do
-      if ctl.state.(sid) = No_offload && ctl.reported.(sid) >= cfg.offload_threshold
+      if ctl.state.(sid) = No_offload && ctl.reported.(sid) >= Controller.offload_threshold
       then begin
         let fes =
           Placement.select
@@ -440,11 +429,11 @@ let run cfg =
               s <> sid
               && ctl.state.(s) = No_offload
               && (not ctl.reserved.(s))
-              && ctl.reported.(s) <= cfg.fe_cpu_max
-              && srvs.(s).mem <= cfg.fe_mem_max)
+              && ctl.reported.(s) <= Controller.default_config.fe_cpu_max
+              && srvs.(s).mem <= Controller.fe_mem_max)
             ~same_rack:(fun s -> Topology.same_rack topo s sid)
             ~cpu:(fun s -> ctl.reported.(s))
-            ~count:cfg.num_fes all_servers
+            ~count:Controller.initial_fes all_servers
         in
         match fes with
         | [] -> () (* no idle capacity this scan; retry next period *)

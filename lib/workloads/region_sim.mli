@@ -38,18 +38,12 @@ type config = {
   report_interval : float;
   scan_interval : float;
   ctl_latency : float;  (** control-plane RPC latency = cluster lookahead *)
-  num_fes : int;
   keep_share : float;  (** demand share the BE keeps once offloaded *)
-  offload_threshold : float;
-  overload_level : float;
-  fe_cpu_max : float;
-  fe_mem_max : float;
   hotspot_quantile : float;  (** CPS quantile above which spikes occur *)
   spikes_per_day : float;  (** Poisson mean per hotspot (Fig. 13) *)
   ramp_median : float;  (** compressed spike ramp median, seconds *)
   ramp_sigma : float;
   hold : float;  (** time a spike holds its peak *)
-  push_bytes_per_s : float;  (** rule/state push bandwidth (§4.2.1) *)
   rpc_rtt : float;
   crash_rate : float;
       (** crash-storm chaos (DESIGN.md §13): Poisson mean server crashes

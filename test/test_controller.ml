@@ -246,6 +246,179 @@ let test_slo_loop_scales_in_to_the_floor () =
   check_int "drained exactly to the serving minimum" 2
     (List.length (Controller.offload_fe_servers o))
 
+(* A scale-out whose config RPC is abandoned must not leave the
+   candidate configured outside the FE set: the replica was installed
+   before the RPC, so the abandoned join has to release it (and stop
+   probing a server that no longer hosts any FE). *)
+let test_scale_out_abandoned_rpc_releases () =
+  let t = Testbed.create ~seed:3 () in
+  let ctl = t.Testbed.ctl in
+  let o = Testbed.offload t () in
+  let members = Controller.offload_fe_servers o in
+  let servers = Topology.servers (Fabric.topology t.Testbed.fabric) in
+  List.iter
+    (fun s ->
+      if not (List.mem s members) then
+        Faults.cut_link t.Testbed.faults ~src:Faults.Gateway ~dst:(Faults.Server s))
+    servers;
+  ignore (Controller.scale_out ctl o ~add:1 : int);
+  Sim.run t.Testbed.sim ~until:(Sim.now t.Testbed.sim +. 20.0);
+  let fes = Controller.offload_fe_servers o in
+  let addr = { Vnic.Addr.vpc = t.Testbed.vpc; ip = Testbed.heavy_ip } in
+  let orphans =
+    List.filter
+      (fun s ->
+        (not (List.mem s fes))
+        &&
+        match Controller.fe_service ctl s with
+        | Some fe -> Fe.serves fe addr
+        | None -> false)
+      servers
+  in
+  Alcotest.(check (list int)) "no replica outside the FE set" [] orphans;
+  check_bool "the config RPC was abandoned" true (Controller.rpc_failures ctl >= 1);
+  check_int "monitor watches only the FE set" (List.length fes)
+    (Monitor.watched (Controller.monitor ctl))
+
+(* ------------------------------------------------------------------ *)
+(* Behaviour fingerprint: one scripted run through every control
+   mechanic (offload, scale-out, targeted and whole-server scale-in,
+   monitor failover, BE migration, elephant pinning, crash and
+   reconcile, anti-entropy repair of an FE replica and of the BE
+   tracker, HA takeover), pinned to the exact FE sets and counters it
+   produces.  No RPC is abandoned on this path. *)
+
+let test_control_fingerprint () =
+  let t = Testbed.create ~seed:5 () in
+  let sim = t.Testbed.sim and fabric = t.Testbed.fabric in
+  let primary = t.Testbed.ctl in
+  let standby =
+    Controller.create ~config:(Controller.config primary) ~fabric
+      ~rng:(Rng.split t.Testbed.rng) ()
+  in
+  let ha = Ha.create ~fabric ~primary ~standby () in
+  Ha.start ha;
+  let run dt = Sim.run sim ~until:(Sim.now sim +. dt) in
+  let addr = { Vnic.Addr.vpc = t.Testbed.vpc; ip = Testbed.heavy_ip } in
+  let log = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  let o = Testbed.offload t () in
+  let fes () = Controller.offload_fe_servers o in
+  note "offload %s" (ints (fes ()));
+  note "scale_out %d" (Controller.scale_out primary o ~add:1);
+  run 2.0;
+  note "after scale_out %s" (ints (fes ()));
+  note "scale_in_offload %d" (Controller.scale_in_offload primary o ~remove:1);
+  run 1.0;
+  note "after scale_in_offload %s" (ints (fes ()));
+  Controller.scale_in_server primary (List.hd (fes ()));
+  run 2.0;
+  note "after scale_in_server %s" (ints (fes ()));
+  let victim = List.nth (fes ()) 1 in
+  Smartnic.crash (Vswitch.nic (Fabric.vswitch fabric victim));
+  run 3.0;
+  note "after failover of %d: %s" victim (ints (fes ()));
+  let target =
+    List.find
+      (fun s ->
+        s <> Controller.offload_be_server o
+        && (not (List.mem s (fes ())))
+        && s <> victim
+        && Fabric.vswitch_opt fabric s <> None)
+      (Topology.servers (Fabric.topology fabric))
+  in
+  (match Controller.migrate_be primary o ~to_server:target with
+  | Ok () -> note "migrated BE to %d" target
+  | Error e -> Alcotest.fail e);
+  run 1.0;
+  let flow =
+    Nezha_net.Five_tuple.make ~src:Testbed.heavy_ip
+      ~dst:t.Testbed.clients.(0).Nezha_workloads.Tcp_crr.ip ~src_port:4000 ~dst_port:80
+      ~proto:Nezha_net.Five_tuple.Tcp
+  in
+  (match Controller.pin_elephant primary o flow with
+  | Ok s -> note "pinned on %d" s
+  | Error e -> Alcotest.fail e);
+  run 1.0;
+  let crashed = List.hd (fes ()) in
+  Faults.crash_server t.Testbed.faults ~reboot_after:0.2 crashed;
+  run 2.0;
+  note "after crash of %d: %s conservation %b" crashed (ints (fes ()))
+    (Controller.check_conservation primary);
+  (match Controller.fe_service primary (List.nth (fes ()) 2) with
+  | Some fe -> Fe.unserve fe addr
+  | None -> Alcotest.fail "no FE service");
+  Be.crash (Controller.offload_be o);
+  run 3.0;
+  note "after anti-entropy %s conservation %b" (ints (fes ()))
+    (Controller.check_conservation primary);
+  let counters name c =
+    let h = Controller.completion_times_ms c in
+    note "%s offloads %d scale_outs %d fes %d rpcs %d failed %d reconciles %d repairs %d \
+          watched %d completions %d mean %.6f"
+      name (Controller.offload_events c) (Controller.scale_out_events c)
+      (Controller.fes_provisioned c) (Controller.rpc_attempts c) (Controller.rpc_failures c)
+      (Controller.reconciles c) (Controller.repairs c)
+      (Monitor.watched (Controller.monitor c)) (Stats.Histogram.count h)
+      (if Stats.Histogram.count h = 0 then 0.0 else Stats.Histogram.mean h)
+  in
+  counters "primary" primary;
+  Ha.crash_primary ha;
+  run 3.0;
+  note "takeovers %d registry %d" (Ha.takeovers ha)
+    (Controller.Registry.entries (Ha.registry ha));
+  (match Controller.offloads standby with
+  | [ o' ] ->
+    note "adopted %s be %d" (ints (Controller.offload_fe_servers o'))
+      (Controller.offload_be_server o');
+    note "standby scale_out %d" (Controller.scale_out standby o' ~add:1);
+    run 2.0;
+    note "standby fes %s conservation %b"
+      (ints (Controller.offload_fe_servers o'))
+      (Controller.check_conservation standby);
+    (match Controller.fallback_vnic standby o' with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e);
+    run 1.0;
+    let serving =
+      List.filter
+        (fun s ->
+          match Controller.fe_service standby s with
+          | Some fe -> Fe.serves fe addr
+          | None -> false)
+        (Topology.servers (Fabric.topology fabric))
+    in
+    note "after fallback offloads %d serving [%s] registry %d"
+      (List.length (Controller.offloads standby)) (ints serving)
+      (Controller.Registry.entries (Ha.registry ha))
+  | l -> Alcotest.failf "standby adopted %d offloads" (List.length l));
+  counters "standby" standby;
+  Alcotest.(check (list string)) "fingerprint"
+    [
+      "offload 3;2;1;4";
+      "scale_out 1";
+      "after scale_out 3;2;1;4;5";
+      "scale_in_offload 1";
+      "after scale_in_offload 2;1;4;5";
+      "after scale_in_server 1;4;5;6";
+      "after failover of 4: 1;5;6;7";
+      "migrated BE to 2";
+      "pinned on 0";
+      "after crash of 1: 1;5;6;7 conservation true";
+      "after anti-entropy 1;5;6;7 conservation true";
+      "primary offloads 1 scale_outs 3 fes 7 rpcs 9 failed 0 reconciles 1 repairs 3 \
+       watched 5 completions 1 mean 882.012564";
+      "takeovers 1 registry 1";
+      "adopted 1;5;6;7 be 2";
+      "standby scale_out 1";
+      "standby fes 1;5;6;7;0 conservation true";
+      "after fallback offloads 0 serving [] registry 0";
+      "standby offloads 0 scale_outs 1 fes 1 rpcs 2 failed 0 reconciles 1 repairs 0 \
+       watched 5 completions 0 mean 0.000000";
+    ]
+    (List.rev !log)
+
 let () =
   Alcotest.run "controller"
     [
@@ -261,6 +434,8 @@ let () =
         [
           Alcotest.test_case "scale-out limits" `Quick test_scale_out_limits;
           Alcotest.test_case "offload capped at pool" `Quick test_offload_more_fes_than_pool;
+          Alcotest.test_case "abandoned scale-out RPC releases the replica" `Quick
+            test_scale_out_abandoned_rpc_releases;
         ] );
       ( "bookkeeping",
         [
@@ -269,6 +444,7 @@ let () =
           Alcotest.test_case "utilization views" `Quick test_utilization_views_sane;
           Alcotest.test_case "rule update during dual-running" `Quick
             test_update_rules_during_dual_running;
+          Alcotest.test_case "control mechanics fingerprint" `Quick test_control_fingerprint;
         ] );
       ( "slo",
         [
