@@ -1,5 +1,3 @@
-type handle = { mutable alive : bool }
-
 (* Event records are mutable and recycled through a per-simulation free
    list: the hot loop (pop, run, schedule) reuses the same records
    instead of allocating one per scheduled event.  A record is owned by
@@ -8,7 +6,6 @@ type handle = { mutable alive : bool }
 type event = {
   mutable time : float;
   mutable order : int;
-  mutable ev_handle : handle;
   mutable action : t -> unit;
 }
 
@@ -39,15 +36,8 @@ and cluster = {
 
 and msg = { at_time : float; src : int; mseq : int; act : t -> unit }
 
-type timer = (t -> unit) Timer_wheel.timer
-
-let dead_handle = { alive = false }
-
-(* The one handle every fire-and-forget event shares.  [post] never
-   hands it out, so nothing can cancel it, and firing leaves it alive. *)
-let posted = { alive = true }
 let no_action : t -> unit = fun _ -> ()
-let dummy_event = { time = 0.0; order = 0; ev_handle = dead_handle; action = no_action }
+let dummy_event = { time = 0.0; order = 0; action = no_action }
 
 let cmp_event a b =
   let c = Float.compare a.time b.time in
@@ -81,7 +71,7 @@ let create ?(capacity = 256) ?(timer_tick = 1e-3) ?(timer_slots = 1024) () =
 
 let now t = t.clock
 
-let alloc_event t ~time ~handle ~action =
+let alloc_event t ~time ~action =
   t.seq <- t.seq + 1;
   if t.pool_n > 0 then begin
     t.pool_n <- t.pool_n - 1;
@@ -89,20 +79,18 @@ let alloc_event t ~time ~handle ~action =
     t.pool.(t.pool_n) <- dummy_event;
     ev.time <- time;
     ev.order <- t.seq;
-    ev.ev_handle <- handle;
     ev.action <- action;
     t.pool_hits <- t.pool_hits + 1;
     ev
   end
   else begin
     t.pool_misses <- t.pool_misses + 1;
-    { time; order = t.seq; ev_handle = handle; action }
+    { time; order = t.seq; action }
   end
 
 let recycle_event t ev =
-  (* Clear the closure and handle slots so the pool never keeps dead
-     captures alive. *)
-  ev.ev_handle <- dead_handle;
+  (* Clear the closure slot so the pool never keeps dead captures
+     alive. *)
   ev.action <- no_action;
   let cap = Array.length t.pool in
   if t.pool_n = cap then begin
@@ -116,46 +104,23 @@ let recycle_event t ev =
 
 let pool_stats t = (t.pool_hits, t.pool_misses)
 
-let enqueue t ~time ~handle action =
-  Heap.push t.queue (alloc_event t ~time ~handle ~action)
-
-let at t ~time action =
-  let time = if time < t.clock then t.clock else time in
-  let handle = { alive = true } in
-  enqueue t ~time ~handle action;
-  handle
-
-let schedule t ~delay action =
-  let delay = if delay < 0.0 then 0.0 else delay in
-  at t ~time:(t.clock +. delay) action
+let enqueue t ~time action = Heap.push t.queue (alloc_event t ~time ~action)
 
 let post_at t ~time action =
   let time = if time < t.clock then t.clock else time in
-  enqueue t ~time ~handle:posted action
+  enqueue t ~time action
 
 let post t ~delay action =
   let delay = if delay < 0.0 then 0.0 else delay in
   post_at t ~time:(t.clock +. delay) action
 
-let cancel _t handle = handle.alive <- false
-
-let cancelled handle = not handle.alive
-
-let every t ~period ?(jitter = fun () -> 0.0) f =
+let every t ~period f =
   if period <= 0.0 then invalid_arg "Sim.every: period must be positive";
-  (* One handle and one tick closure serve every firing: each period
-     re-arms by re-enqueueing a pooled event record rather than
-     allocating a fresh closure + handle pair. *)
-  let handle = { alive = true } in
-  let rec tick sim =
-    if f sim then begin
-      let delay = period +. jitter () in
-      let delay = if delay < 0.0 then 0.0 else delay in
-      handle.alive <- true;
-      enqueue sim ~time:(sim.clock +. delay) ~handle tick
-    end
-  in
-  enqueue t ~time:t.clock ~handle tick
+  (* One tick closure serves every firing: each period re-arms by
+     re-enqueueing a pooled event record rather than allocating a fresh
+     closure. *)
+  let rec tick sim = if f sim then enqueue sim ~time:(sim.clock +. period) tick in
+  enqueue t ~time:t.clock tick
 
 (* ---- wheel-backed timers ------------------------------------------- *)
 
@@ -173,11 +138,7 @@ let get_wheel t =
 let timeout t ~delay f =
   let delay = if delay < 0.0 then 0.0 else delay in
   let w = get_wheel t in
-  Timer_wheel.add w ~now:t.clock ~deadline:(t.clock +. delay) f
-
-let cancel_timer timer = Timer_wheel.cancel timer
-
-let timer_cancelled timer = Timer_wheel.cancelled timer
+  ignore (Timer_wheel.add w ~now:t.clock ~deadline:(t.clock +. delay) f : _ Timer_wheel.timer)
 
 (* ---- the engine turn ------------------------------------------------ *)
 
@@ -199,14 +160,10 @@ let run_heap_event t =
   let ev = Heap.top t.queue in
   Heap.drop t.queue;
   t.clock <- ev.time;
-  let h = ev.ev_handle in
   let act = ev.action in
   recycle_event t ev;
-  if h.alive then begin
-    if h != posted then h.alive <- false;
-    t.executed <- t.executed + 1;
-    act t
-  end
+  t.executed <- t.executed + 1;
+  act t
 
 let run_wheel_slot t =
   match t.wheel with
@@ -229,27 +186,17 @@ let step t =
   end
 
 (* Core loop shared by [run] and the sharded window executor: execute
-   turns while the next event time is [< limit_ex] and [<= limit_in].
-   [max_events] may overshoot by at most the contents of one wheel
-   slot. *)
-let exec t ~limit_ex ~limit_in ~fits_budget =
+   turns while the next event time is [< limit_ex] and [<= limit_in]. *)
+let exec t ~limit_ex ~limit_in =
   let rec loop () =
-    if fits_budget t then begin
-      let nxt = next_event_time t in
-      if nxt < limit_ex && nxt <= limit_in then
-        if step t then loop ()
-    end
+    let nxt = next_event_time t in
+    if nxt < limit_ex && nxt <= limit_in then if step t then loop ()
   in
   loop ()
 
-let run ?until ?max_events t =
-  let fits_budget =
-    match max_events with
-    | None -> fun _ -> true
-    | Some m -> fun t -> t.executed < m
-  in
+let run ?until t =
   let limit_in = match until with None -> infinity | Some u -> u in
-  exec t ~limit_ex:infinity ~limit_in ~fits_budget;
+  exec t ~limit_ex:infinity ~limit_in;
   match until with
   | Some stop when t.clock < stop && next_event_time t > stop -> t.clock <- stop
   | Some _ | None -> ()
@@ -286,8 +233,6 @@ module Sharded = struct
     c
 
   let shard c i = c.members.(i)
-  let shard_count c = Array.length c.members
-  let lookahead c = c.lookahead
   let shard_id t = match t.shard with None -> None | Some s -> Some s.shard_id
   let messages_delivered c = c.delivered
 
@@ -336,8 +281,6 @@ module Sharded = struct
             sorted)
       c.mail
 
-  let always _ = true
-
   let run ?until c =
     let stop = match until with None -> infinity | Some u -> u in
     let rec loop () =
@@ -359,18 +302,11 @@ module Sharded = struct
            shard may execute the whole window without hearing from the
            others. *)
         let wend = m +. c.lookahead in
-        Array.iter
-          (fun s -> exec s ~limit_ex:wend ~limit_in:stop ~fits_budget:always)
-          c.members;
+        Array.iter (fun s -> exec s ~limit_ex:wend ~limit_in:stop) c.members;
         loop ()
       end
     in
     loop ()
-
-  let now c =
-    Array.fold_left (fun acc s -> Float.min acc s.clock) infinity c.members
-
-  let pending c = Array.fold_left (fun acc s -> acc + pending s) 0 c.members
 
   let events_executed c =
     Array.fold_left (fun acc s -> acc + s.executed) 0 c.members

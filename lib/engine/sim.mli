@@ -1,34 +1,28 @@
 (** Discrete-event simulation core.
 
     A simulation owns a virtual clock and two event sources: a binary
-    heap for exact-time events and a lazily created timer wheel for
-    coarse mass timers ([timeout]).  Events scheduled for the same
-    instant fire in scheduling order (a monotone sequence number breaks
-    ties), which keeps runs deterministic.
+    heap for exact-time events ({!post}, {!post_at}, {!every}) and a
+    lazily created timer wheel for coarse mass timers ({!timeout}).
+    Events scheduled for the same instant fire in scheduling order (a
+    monotone sequence number breaks ties), which keeps runs
+    deterministic.
+
+    Every event is fire-and-forget: scheduling returns nothing and an
+    event, once queued, fires.  Code that needs to cancel or move a
+    deadline (BE retransmit timers, flow-table aging) keeps its own
+    {!Timer_wheel} and checks its own state when the event fires.
 
     The hot path allocates almost nothing: event records are recycled
-    through a per-simulation pool, [post]/[post_at] schedule without a
-    handle, [every] reuses one closure and one handle across all
-    firings, wheel timers bypass the heap entirely, and an engine turn
-    ({!step}) allocates nothing itself — what an event costs is the
-    closure its caller built and the boxed float of its time.
-
-    Two ways to schedule: [schedule]/[at] return a {!handle} and may be
-    cancelled; [post]/[post_at] are fire-and-forget.  Both share one
-    sequence counter, so mixing them keeps same-time events in
-    scheduling order.
+    through a per-simulation pool, [every] reuses one closure across
+    all firings, wheel timers bypass the heap entirely, and an engine
+    turn ({!step}) allocates nothing itself — what an event costs is
+    the closure its caller built and the boxed float of its time.
 
     For region-scale runs, {!Sharded} partitions work across several
     simulations advanced in conservative-sync windows (see DESIGN.md
     §10). *)
 
 type t
-
-type handle
-(** A scheduled event, usable for cancellation. *)
-
-type timer
-(** A wheel-backed coarse timer (see {!timeout}). *)
 
 val create :
   ?capacity:int -> ?timer_tick:float -> ?timer_slots:int -> unit -> t
@@ -40,55 +34,33 @@ val create :
 val now : t -> float
 (** Current virtual time, in seconds. *)
 
-val schedule : t -> delay:float -> (t -> unit) -> handle
-(** [schedule t ~delay f] runs [f] at [now t +. delay].  Negative delays
+val post : t -> delay:float -> (t -> unit) -> unit
+(** [post t ~delay f] runs [f] at [now t +. delay].  Negative delays
     are clamped to 0 (fire "now", after currently queued same-time
     events). *)
-
-val at : t -> time:float -> (t -> unit) -> handle
-(** Absolute-time variant.  Times before [now] are clamped to [now]. *)
-
-val post : t -> delay:float -> (t -> unit) -> unit
-(** [post t ~delay f] is [schedule] for an event nobody will cancel:
-    same clamping, same ordering, but no handle is allocated or
-    returned.  The packet path uses it for every fire-and-forget
-    event (service completions, wire hops, VM deliveries). *)
 
 val post_at : t -> time:float -> (t -> unit) -> unit
 (** Absolute-time variant of {!post}; times before [now] are clamped to
     [now]. *)
 
-val cancel : t -> handle -> unit
-(** Cancel a pending event.  Cancelling an already-fired or
-    already-cancelled event is a no-op. *)
-
-val cancelled : handle -> bool
-
-val timeout : t -> delay:float -> (t -> unit) -> timer
+val timeout : t -> delay:float -> (t -> unit) -> unit
 (** [timeout t ~delay f] schedules [f] on the timer wheel: O(1) insert
     and no heap traffic, at the cost of coarse granularity — [f] fires
     at the first wheel-slot boundary at or after [now +. delay] (within
-    one [timer_tick] of the deadline).  Use for mass per-flow /
-    per-retransmit timers; use [schedule] when exact timing matters. *)
+    one [timer_tick] of the deadline).  Use for mass re-arming timers;
+    use [post] when exact timing matters. *)
 
-val cancel_timer : timer -> unit
-(** O(1); fired or already-cancelled timers are no-ops. *)
-
-val timer_cancelled : timer -> bool
-
-val every : t -> period:float -> ?jitter:(unit -> float) -> (t -> bool) -> unit
-(** [every t ~period f] runs [f] now and then every [period] (plus
-    [jitter ()] if given) until [f] returns [false].  All firings share
-    one tick closure and one handle; re-arming recycles a pooled event
-    record, so a periodic task allocates nothing per period.
+val every : t -> period:float -> (t -> bool) -> unit
+(** [every t ~period f] runs [f] now and then every [period] until [f]
+    returns [false].  All firings share one tick closure; re-arming
+    recycles a pooled event record, so a periodic task allocates
+    nothing per period.
     @raise Invalid_argument if [period <= 0]. *)
 
-val run : ?until:float -> ?max_events:int -> t -> unit
+val run : ?until:float -> t -> unit
 (** Drain both event sources in time order.  Stops when nothing is
-    pending, when the next event would fire after [until], or after
-    [max_events] events ([max_events] may overshoot by the contents of
-    one wheel slot).  When stopped by [until], the clock is advanced to
-    [until] exactly. *)
+    pending or when the next event would fire after [until]; in the
+    latter case the clock is advanced to [until] exactly. *)
 
 val step : t -> bool
 (** Execute one engine turn — the next heap event or the next due wheel
@@ -96,8 +68,7 @@ val step : t -> bool
     nothing is pending. *)
 
 val pending : t -> int
-(** Events still queued (including cancelled placeholders) plus live
-    wheel timers. *)
+(** Events still queued plus wheel timers not yet fired. *)
 
 val events_executed : t -> int
 (** Events run so far; wheel timers count when they fire. *)
@@ -149,8 +120,6 @@ module Sharded : sig
       @raise Invalid_argument if [shards <= 0] or [lookahead <= 0]. *)
 
   val shard : cluster -> int -> t
-  val shard_count : cluster -> int
-  val lookahead : cluster -> float
 
   val shard_id : t -> int option
   (** The shard index of a member simulation; [None] for a standalone
@@ -168,10 +137,6 @@ module Sharded : sig
       pending (or the next window would start after [until], in which
       case all clocks park at [until]). *)
 
-  val now : cluster -> float
-  (** Minimum clock across shards — a lower bound on global time. *)
-
-  val pending : cluster -> int
   val events_executed : cluster -> int
 
   val messages_delivered : cluster -> int

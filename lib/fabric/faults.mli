@@ -121,7 +121,7 @@ val server_restarts : t -> int
 (** {1 Scheduling}
 
     Sugar for chaos scripts: apply a mutation at an absolute simulated
-    time ([Sim.at] underneath).  When [server] is given and a shard
+    time ([Sim.post_at] underneath).  When [server] is given and a shard
     lookup is installed, the event lands on that server's owning shard
     sim — required for shard-count-invariant chaos under
     {!Nezha_engine.Sim.Sharded}. *)

@@ -1098,8 +1098,8 @@ let crash_cycles ?(cycles = 100) ?(seed = 11) () =
   }
 
 (* ------------------------------------------------------------------ *)
-(* JSON encoders: one [json_of_*] per result record, so every consumer
-   (bench --json, the nezha_sim subcommands) shares a single schema
+(* JSON encoders for the result records that bench --json and the
+   nezha_sim subcommands emit, so every consumer shares a single schema
    instead of hand-rolling objects that can drift apart. *)
 
 let json_of_fig9_row (r : fig9_row) =
@@ -1109,63 +1109,6 @@ let json_of_fig9_row (r : fig9_row) =
       ("cps_gain", Json.Float r.cps_gain);
       ("flows_gain", Json.Float r.flows_gain);
       ("vnics_gain", Json.Float r.vnics_gain);
-    ]
-
-let json_of_fig10_row (r : fig10_row) =
-  Json.Obj
-    [
-      ("vcpus", Json.Int r.vcpus);
-      ("cps_without", Json.Float r.cps_without);
-      ("cps_with", Json.Float r.cps_with);
-    ]
-
-let json_of_fig11_point (p : fig11_point) =
-  Json.Obj
-    [
-      ("t", Json.Float p.t);
-      ("cps", Json.Float p.cps);
-      ("be_cpu", Json.Float p.be_cpu);
-      ("fe_cpu", Json.Float p.fe_cpu);
-      ("n_fes", Json.Int p.n_fes);
-    ]
-
-let json_of_fig12_row (r : fig12_row) =
-  Json.Obj
-    [
-      ("load", Json.Float r.load);
-      ("lat_without_us", Json.Float r.lat_without_us);
-      ("lat_with_us", Json.Float r.lat_with_us);
-      ("lost_without", Json.Float r.lost_without);
-      ("lost_with", Json.Float r.lost_with);
-    ]
-
-let json_of_latency_split (s : latency_split) =
-  Json.Obj
-    [
-      ("traces", Json.Int s.traces);
-      ("p50_us", Json.Float s.p50_us);
-      ("p50_local_us", Json.Float s.p50_local_us);
-      ("p50_remote_us", Json.Float s.p50_remote_us);
-      ("p99_us", Json.Float s.p99_us);
-      ("p99_local_us", Json.Float s.p99_local_us);
-      ("p99_remote_us", Json.Float s.p99_remote_us);
-    ]
-
-let json_of_fig12_attr_row (r : fig12_attr_row) =
-  Json.Obj
-    [
-      ("load", Json.Float r.attr_load);
-      ("without", json_of_latency_split r.without_nezha);
-      ("with", json_of_latency_split r.with_nezha);
-    ]
-
-let json_of_table3_row (r : table3_row) =
-  Json.Obj
-    [
-      ("middlebox", Json.String (Middlebox.to_string r.kind));
-      ("cps_gain", Json.Float r.cps_gain);
-      ("vnics_gain", Json.Float r.vnics_gain);
-      ("flows_gain", Json.Float r.flows_gain);
     ]
 
 let json_of_chaos_sample (s : chaos_sample) =
@@ -1202,56 +1145,6 @@ let json_of_chaos_result (r : chaos_result) =
       ("controller_conservation_ok", Json.Bool r.controller_conservation_ok);
       ("rpc_failures", Json.Int r.rpc_failures);
       ("samples", Json.List (List.map json_of_chaos_sample r.samples));
-    ]
-
-let json_of_appB2_result (r : appB2_result) =
-  Json.Obj
-    [
-      ("offload_events", Json.Int r.offload_events);
-      ("fes_provisioned", Json.Int r.fes_provisioned);
-      ("scale_out_events", Json.Int r.scale_out_events);
-      ("scale_out_ratio", Json.Float r.scale_out_ratio);
-    ]
-
-let json_of_sirius_vs_nezha (r : sirius_vs_nezha) =
-  Json.Obj
-    [
-      ("nezha_cps", Json.Float r.nezha_cps);
-      ("sirius_cps", Json.Float r.sirius_cps);
-      ("sirius_pingpongs", Json.Int r.sirius_pingpongs);
-      ("nezha_notify", Json.Int r.nezha_notify);
-    ]
-
-let json_of_lb_ablation (r : lb_ablation) =
-  Json.Obj
-    [
-      ("mode", Json.String r.mode);
-      ("fe_rule_lookups", Json.Int r.fe_rule_lookups);
-      ("fe_cached_flows", Json.Int r.fe_cached_flows);
-      ("cps", Json.Float r.cps);
-    ]
-
-let json_of_state_size_ablation (r : state_size_ablation) =
-  Json.Obj
-    [
-      ("slot_bytes", Json.Int r.slot_bytes);
-      ("flows_supported", Json.Int r.flows_supported);
-    ]
-
-let json_of_failover_retx (r : failover_retx) =
-  Json.Obj
-    [
-      ("failed_without_retx", Json.Int r.failed_without_retx);
-      ("failed_with_retx", Json.Int r.failed_with_retx);
-      ("retransmissions", Json.Int r.retransmissions);
-      ("completed_with_retx", Json.Int r.completed_with_retx);
-    ]
-
-let json_of_locality_row (r : locality_row) =
-  Json.Obj
-    [
-      ("placement", Json.String r.placement);
-      ("p50_latency_us", Json.Float r.p50_latency_us);
     ]
 
 let json_of_region_result (r : Region_sim.result) =

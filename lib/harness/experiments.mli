@@ -331,29 +331,17 @@ val crash_cycles : ?cycles:int -> ?seed:int -> unit -> crash_cycles
 
 (** {1 JSON encoders}
 
-    One [json_of_*] per result record (via {!Nezha_telemetry.Json}), so
-    the bench's [--json] document and the [nezha_sim] subcommands share
-    a single schema instead of hand-rolling objects. *)
+    One [json_of_*] (via {!Nezha_telemetry.Json}) for each result
+    record that the bench's [--json] document or a [nezha_sim]
+    subcommand emits, so they share a single schema instead of
+    hand-rolling objects. *)
 
 val json_of_fig9_row : fig9_row -> Nezha_telemetry.Json.t
-val json_of_fig10_row : fig10_row -> Nezha_telemetry.Json.t
-val json_of_fig11_point : fig11_point -> Nezha_telemetry.Json.t
-val json_of_fig12_row : fig12_row -> Nezha_telemetry.Json.t
-val json_of_latency_split : latency_split -> Nezha_telemetry.Json.t
-val json_of_fig12_attr_row : fig12_attr_row -> Nezha_telemetry.Json.t
-val json_of_table3_row : table3_row -> Nezha_telemetry.Json.t
 val json_of_chaos_sample : chaos_sample -> Nezha_telemetry.Json.t
 
 val json_of_chaos_result : chaos_result -> Nezha_telemetry.Json.t
 (** The result fields of the [nezha-chaos/1] schema ([samples] included);
     the [chaos] subcommand prepends the run's input parameters. *)
-
-val json_of_appB2_result : appB2_result -> Nezha_telemetry.Json.t
-val json_of_sirius_vs_nezha : sirius_vs_nezha -> Nezha_telemetry.Json.t
-val json_of_lb_ablation : lb_ablation -> Nezha_telemetry.Json.t
-val json_of_state_size_ablation : state_size_ablation -> Nezha_telemetry.Json.t
-val json_of_failover_retx : failover_retx -> Nezha_telemetry.Json.t
-val json_of_locality_row : locality_row -> Nezha_telemetry.Json.t
 
 val json_of_region_result :
   Nezha_workloads.Region_sim.result -> Nezha_telemetry.Json.t

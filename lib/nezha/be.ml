@@ -571,31 +571,15 @@ let install ~vs ~vnic ~vni ~fes ?fallback_ruleset () =
        });
   t
 
-(* The BE intercept in the shared ingress shape; [ctx] is the packet
-   direction.  RX batches dispatch per packet — acks, notifies and
-   finalizations are control-plane-sized traffic — and a declined bare
-   packet (dual stage) re-enters the vSwitch's net ingress, which runs
-   the traditional RX path for it. *)
+(* The intercept's [on_tx]/[on_rx] as one entry point; [ctx] is the
+   packet direction. *)
 module Ingress_impl = struct
-  type nonrec t = t
-  type ctx = Packet.direction
-
   let ingest t ~ctx pkt =
     match ctx with
     | Packet.Tx ->
       handle_tx t pkt;
       `Handled
     | Packet.Rx -> rx_dispatch t pkt
-
-  let ingest_batch t ~ctx batch =
-    match ctx with
-    | Packet.Tx -> handle_tx_batch t batch
-    | Packet.Rx ->
-      Pbatch.iter batch (fun pkt ->
-          match rx_dispatch t pkt with
-          | `Handled -> ()
-          | `Continue -> Vswitch.from_net t.vs pkt);
-      Pbatch.recycle batch
 end
 
 let uninstall t =

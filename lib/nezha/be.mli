@@ -59,12 +59,14 @@ val handle_tx_batch : t -> Pbatch.t -> unit
     one SmartNIC submission for the burst, per-packet state stepping in
     order, FE-bound packets leaving as one batch.  Takes ownership. *)
 
-module Ingress_impl : Nezha_vswitch.Ingress.S with type t = t and type ctx = Packet.direction
-(** The BE intercept in the shared ingress shape; [ctx] is the packet
-    direction.  TX maps to the offload workflow; RX classifies acks,
-    notifies, FE-finalized and bare traffic.  A batched RX dispatches
-    per packet (control-plane-sized traffic) and re-injects declined
-    dual-stage bare packets through the vSwitch's net ingress. *)
+module Ingress_impl : sig
+  val ingest : t -> ctx:Packet.direction -> Packet.t -> [ `Handled | `Continue ]
+  (** The BE intercept as one entry point; [ctx] is the packet
+      direction.  TX runs the offload workflow and is always
+      [`Handled]; RX classifies acks, notifies, FE-finalized and bare
+      traffic, and declines ([`Continue]) what the vSwitch should
+      process itself. *)
+end
 
 val set_fallback_ruleset : t -> Ruleset.t option -> unit
 

@@ -645,19 +645,11 @@ let scale_in_offload t o ~remove =
     if remove <= 0 then 0
     else begin
       let topo = Fabric.topology t.fabric in
-      (* Evict cross-rack FEs first (App. B.1 preference in reverse),
-         then the most loaded — free the busiest servers for their own
-         local traffic. *)
-      let ranked =
-        List.sort
-          (fun a b ->
-            let rack s = if Topology.same_rack topo s o.be_server then 1 else 0 in
-            match compare (rack a) (rack b) with
-            | 0 -> Float.compare (load_signal t b) (load_signal t a)
-            | c -> c)
-          o.fe_servers
+      let victims =
+        Placement.scale_in_victims
+          ~same_rack:(fun s -> Topology.same_rack topo s o.be_server)
+          ~load:(load_signal t) ~count:remove o.fe_servers
       in
-      let victims = Placement.take remove ranked in
       o.fe_servers <- List.filter (fun s -> not (List.mem s victims)) o.fe_servers;
       ignore (update_routing t o : float);
       List.iter

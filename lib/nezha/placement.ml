@@ -40,6 +40,18 @@ let select ~eligible ~same_rack ~cpu ~count servers =
   let by_cpu l = List.sort (fun a b -> Float.compare (cpu a) (cpu b)) l in
   take count (by_cpu near @ by_cpu far)
 
+let scale_in_victims ~same_rack ~load ~count servers =
+  let rank s = if same_rack s then 1 else 0 in
+  let ranked =
+    List.sort
+      (fun a b ->
+        match compare (rank a) (rank b) with
+        | 0 -> Float.compare (load b) (load a)
+        | c -> c)
+      servers
+  in
+  take count ranked
+
 (* Power-of-two-choices: draw two distinct candidates, keep the less
    loaded.  The classic result (Mitzenmacher) is that two random probes
    get exponentially better max-load than one while staying O(1) per

@@ -69,5 +69,10 @@ val select_p2c :
     tier and keeps the less loaded (ties: the first drawn), then removes
     it from the pool.  Deterministic for a given [rng] state. *)
 
-val take : int -> 'a list -> 'a list
-(** First [n] elements (all of them if fewer). *)
+val scale_in_victims :
+  same_rack:('a -> bool) -> load:('a -> float) -> count:int -> 'a list -> 'a list
+(** [scale_in_victims ~same_rack ~load ~count servers] returns up to
+    [count] pool members to evict: servers outside the BE's rack first
+    ({!select}'s rack preference in reverse), then the most loaded —
+    freeing the busiest servers for their own local traffic.  The sort
+    is stable, so equal-ranked servers keep their order in [servers]. *)

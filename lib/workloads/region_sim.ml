@@ -33,18 +33,13 @@ type config = {
   duration : float;  (** one compressed "day", sim seconds *)
   tick : float;  (** demand-evaluation period per server *)
   flow_timers : int;  (** sampled live-flow churn timers per server *)
-  flow_mean : float;  (** mean flow lifetime driving churn *)
   nezha : bool;  (** controller acts (false = "before" run) *)
   report_interval : float;
   scan_interval : float;
-  ctl_latency : float;  (** control-plane RPC latency = cluster lookahead *)
-  keep_share : float;  (** demand share the BE keeps once offloaded *)
   hotspot_quantile : float;  (** CPS quantile above which spikes occur *)
   spikes_per_day : float;  (** Poisson mean per hotspot (Fig. 13) *)
   ramp_median : float;  (** compressed spike ramp median, seconds *)
-  ramp_sigma : float;
   hold : float;  (** time a spike holds its peak *)
-  rpc_rtt : float;
   (* --- crash-storm chaos (DESIGN.md §13) --- *)
   crash_rate : float;  (** Poisson mean crashes per server per day (0 = off) *)
   reboot_delay : float;  (** crash -> process back up *)
@@ -63,24 +58,26 @@ let default_config =
     duration = 30.0;
     tick = 0.02;
     flow_timers = 16;
-    flow_mean = 1.0;
     nezha = true;
     report_interval = 0.25;
     scan_interval = 0.25;
-    ctl_latency = 0.01;
-    keep_share = 0.3;
     hotspot_quantile = 0.97;
     spikes_per_day = 3.0;
     ramp_median = 12.0;
-    ramp_sigma = 0.8;
     hold = 3.0;
-    rpc_rtt = 0.002;
     crash_rate = 0.0;
     reboot_delay = 1.0;
     resync_delay = 0.1;
     ctl_crash_at = None;
     ctl_failover = 1.0;
   }
+
+(* Fixed model values. *)
+let flow_mean = 1.0 (* mean flow lifetime driving churn, seconds *)
+let ctl_latency = 0.01 (* control-plane RPC latency = cluster lookahead *)
+let keep_share = 0.3 (* demand share the BE keeps once offloaded *)
+let ramp_sigma = 0.8 (* lognormal sigma of the compressed spike ramp *)
+let rpc_rtt = 0.002 (* controller<->server round trip, two per activation *)
 
 type result = {
   servers : int;
@@ -197,14 +194,11 @@ let percentile sorted p =
 
 let run cfg =
   if cfg.shards < 1 then invalid_arg "Region_sim.run: shards must be >= 1";
-  if cfg.keep_share <= 0.0 || cfg.keep_share > 1.0 then
-    invalid_arg "Region_sim.run: keep_share must be in (0, 1]";
-  if cfg.ctl_latency <= 0.0 then invalid_arg "Region_sim.run: ctl_latency must be > 0";
   let n = cfg.racks * cfg.servers_per_rack in
   let topo = Topology.create ~racks:cfg.racks ~servers_per_rack:cfg.servers_per_rack in
   let cluster =
     Sim.Sharded.create ~capacity:4096 ~timer_tick:5e-3 ~timer_slots:512
-      ~shards:cfg.shards ~lookahead:cfg.ctl_latency ()
+      ~shards:cfg.shards ~lookahead:ctl_latency ()
   in
   let shard_of sid = Topology.rack_of topo sid mod cfg.shards in
   let ctl_sim = Sim.Sharded.shard cluster 0 in
@@ -226,7 +220,7 @@ let run cfg =
             Array.init k (fun _ ->
                 let t0 = Rng.float srng cfg.duration in
                 let ramp =
-                  cfg.ramp_median *. Rng.lognormal srng ~mu:0.0 ~sigma:cfg.ramp_sigma
+                  cfg.ramp_median *. Rng.lognormal srng ~mu:0.0 ~sigma:ramp_sigma
                 in
                 let peak = Controller.overload_level +. 0.05 +. Rng.float srng 0.25 in
                 { t0; ramp; peak_add = peak -. p.Region.cpu; hold_s = cfg.hold })
@@ -287,7 +281,7 @@ let run cfg =
     if last = 0.0 then 0.0
     else
       last +. cfg.reboot_delay +. cfg.resync_delay +. cfg.ctl_failover
-      +. (4.0 *. cfg.ctl_latency) +. 0.5
+      +. (4.0 *. ctl_latency) +. 0.5
   in
   (* Real vSwitch + SmartNIC per server, placed on its rack's shard; one
      concrete vNIC with a ruleset (memory admission included), with the
@@ -327,26 +321,17 @@ let run cfg =
     }
   in
   (* --- per-server demand ticks and flow churn ---------------------- *)
-  let arm_periodic (srv : srv) ~offset ~period act_body =
-    (* Tuned mode routes the re-arming through the timer wheel with one
-       self-recursive closure; classic mode replicates the single-heap
-       engine (fresh closure + heap push per firing). *)
+  (* Tuned mode arms through the timer wheel with one self-recursive
+     closure; classic mode replicates the single-heap engine (fresh
+     closure + heap push per firing). *)
+  let arm sim ~delay act =
     match cfg.engine with
-    | Wheel_events ->
-      let rec act sim =
-        act_body sim;
-        if Sim.now sim +. period <= cfg.duration then
-          ignore (Sim.timeout sim ~delay:period act : Sim.timer)
-      in
-      ignore (Sim.timeout srv.sim ~delay:offset act : Sim.timer)
-    | Heap_events ->
-      let rec act sim =
-        act_body sim;
-        if Sim.now sim +. period <= cfg.duration then
-          Sim.post sim ~delay:period (fun s -> act s)
-      in
-      Sim.post srv.sim ~delay:offset (fun s -> act s)
+    | Wheel_events -> Sim.timeout sim ~delay act
+    | Heap_events -> Sim.post sim ~delay (fun s -> act s)
   in
+  (* Re-arm from inside a firing, unless the next firing would fall
+     past the end of the day. *)
+  let rearm sim ~delay act = if Sim.now sim +. delay <= cfg.duration then arm sim ~delay act in
   let pps_per_unit = 1e6 in
   Array.iter
     (fun (srv : srv) ->
@@ -375,29 +360,19 @@ let run cfg =
         end
       in
       (* Stagger first ticks so 2,000 servers don't land on one instant. *)
-      let offset = cfg.tick *. float_of_int (srv.sid mod 64) /. 64.0 in
-      arm_periodic srv ~offset ~period:cfg.tick tick_body;
+      let rec tick sim =
+        tick_body sim;
+        rearm sim ~delay:cfg.tick tick
+      in
+      arm srv.sim ~delay:(cfg.tick *. float_of_int (srv.sid mod 64) /. 64.0) tick;
       (* Flow churn: [flow_timers] concurrent lifetimes, each re-arming
          with an exponential draw from the server's private stream. *)
+      let rec expire sim =
+        srv.flow_expiries <- srv.flow_expiries + 1;
+        rearm sim ~delay:(Rng.exponential srv.rng ~mean:flow_mean) expire
+      in
       for _ = 1 to cfg.flow_timers do
-        let delay0 = Rng.exponential srv.rng ~mean:cfg.flow_mean in
-        match cfg.engine with
-        | Wheel_events ->
-          let rec act sim =
-            srv.flow_expiries <- srv.flow_expiries + 1;
-            let d = Rng.exponential srv.rng ~mean:cfg.flow_mean in
-            if Sim.now sim +. d <= cfg.duration then
-              ignore (Sim.timeout sim ~delay:d act : Sim.timer)
-          in
-          ignore (Sim.timeout srv.sim ~delay:delay0 act : Sim.timer)
-        | Heap_events ->
-          let rec act sim =
-            srv.flow_expiries <- srv.flow_expiries + 1;
-            let d = Rng.exponential srv.rng ~mean:cfg.flow_mean in
-            if Sim.now sim +. d <= cfg.duration then
-              Sim.post sim ~delay:d (fun s -> act s)
-          in
-          Sim.post srv.sim ~delay:delay0 (fun s -> act s)
+        arm srv.sim ~delay:(Rng.exponential srv.rng ~mean:flow_mean) expire
       done;
       (* Utilization reports up to the controller shard (a crashed
          server reports nothing — the controller keeps the last one). *)
@@ -405,7 +380,7 @@ let run cfg =
           let now = Sim.now sim in
           if not srv.down then begin
             let eff = effective srvs srv now in
-            Sim.Sharded.send sim ~dst:0 ~delay:cfg.ctl_latency (fun _ ->
+            Sim.Sharded.send sim ~dst:0 ~delay:ctl_latency (fun _ ->
                 ctl.reported.(srv.sid) <- eff)
           end;
           now < cfg.duration))
@@ -415,7 +390,7 @@ let run cfg =
   let activation_delay sid =
     let p = profiles.(sid) in
     let state_bytes = 5.5e6 +. (p.Region.flows *. 94.5e6) in
-    (2.0 *. cfg.rpc_rtt)
+    (2.0 *. rpc_rtt)
     +. (state_bytes /. Controller.push_bytes_per_s
         *. Rng.lognormal ctl.rngs.(sid) ~mu:0.0 ~sigma:0.35)
   in
@@ -441,16 +416,16 @@ let run cfg =
           ctl.state.(sid) <- Pending;
           ctl.detections <- ctl.detections + 1;
           List.iter (fun f -> ctl.reserved.(f) <- true) fes;
-          let share = (1.0 -. cfg.keep_share) /. float_of_int (List.length fes) in
+          let share = (1.0 -. keep_share) /. float_of_int (List.length fes) in
           Sim.post ctl.sim ~delay:(activation_delay sid) (fun csim ->
               ctl.state.(sid) <- Active;
               ctl.activations <- ctl.activations + 1;
-              Sim.Sharded.send csim ~dst:(shard_of sid) ~delay:cfg.ctl_latency
-                (fun _ -> srvs.(sid).keep <- cfg.keep_share);
+              Sim.Sharded.send csim ~dst:(shard_of sid) ~delay:ctl_latency
+                (fun _ -> srvs.(sid).keep <- keep_share);
               List.iter
                 (fun f ->
                   ctl.fe_of.(f) <- (sid, share) :: ctl.fe_of.(f);
-                  Sim.Sharded.send csim ~dst:(shard_of f) ~delay:cfg.ctl_latency
+                  Sim.Sharded.send csim ~dst:(shard_of f) ~delay:ctl_latency
                     (fun _ -> srvs.(f).absorbed <- (sid, share) :: srvs.(f).absorbed))
                 fes)
       end
@@ -471,12 +446,12 @@ let run cfg =
       ctl.pending_readverts <- (sid, inc, t_crash) :: ctl.pending_readverts
     else
       Sim.post ctl_sim ~delay:cfg.resync_delay (fun csim ->
-          Sim.Sharded.send csim ~dst:(shard_of sid) ~delay:cfg.ctl_latency
+          Sim.Sharded.send csim ~dst:(shard_of sid) ~delay:ctl_latency
             (fun ssim ->
               let s = srvs.(sid) in
               if (not s.down) && s.incarnation = inc then begin
                 (match ctl.state.(sid) with
-                | Active -> s.keep <- cfg.keep_share
+                | Active -> s.keep <- keep_share
                 | Pending | No_offload -> ());
                 s.absorbed <- ctl.fe_of.(sid);
                 s.mttr <- (Sim.now ssim -. t_crash) :: s.mttr
@@ -498,7 +473,7 @@ let run cfg =
       Sim.post sim ~delay:cfg.reboot_delay (fun ssim ->
           srv.down <- false;
           srv.restarts <- srv.restarts + 1;
-          Sim.Sharded.send ssim ~dst:0 ~delay:cfg.ctl_latency (fun _ ->
+          Sim.Sharded.send ssim ~dst:0 ~delay:ctl_latency (fun _ ->
               readvert srv.sid inc t_crash))
     end
   in
@@ -646,17 +621,19 @@ let before_after cfg =
 
 module Slo = Nezha_core.Slo
 
+(* Fixed model values of the SLO run. *)
+let slo_seed = 42
+let slo_tick = 1.0 (* report/decision period, sim seconds *)
+let slo_racks = 6
+let slo_servers_per_rack = 16
+let base_offered = 1.6 (* trough offered load, FE-capacity units *)
+let ramp_ratio = 10.0 (* peak/trough offered ratio *)
+let fe_capacity = 1.0 (* offered units one FE serves at util 1.0 *)
+let base_hop = 0.001 (* remote-hop latency at zero utilization, s *)
+let hop_noise_sigma = 0.04 (* lognormal sigma on the observed P99 *)
+
 type slo_config = {
-  slo_seed : int;
   slo_duration : float;  (** one compressed "day", sim seconds *)
-  slo_tick : float;  (** report/decision period *)
-  slo_racks : int;
-  slo_servers_per_rack : int;
-  base_offered : float;  (** trough offered load, FE-capacity units *)
-  ramp_ratio : float;  (** peak/trough offered ratio (×10) *)
-  fe_capacity : float;  (** offered units one FE serves at util 1.0 *)
-  base_hop : float;  (** remote-hop latency at zero utilization, s *)
-  hop_noise_sigma : float;  (** lognormal sigma on the observed P99 *)
   slo : Slo.config;  (** the decision core's knobs *)
   flap_window : float;  (** reversal horizon for oscillation counting *)
   slo_partition : (float * float) option;  (** chaos: (start, duration) *)
@@ -664,16 +641,7 @@ type slo_config = {
 
 let default_slo_config =
   {
-    slo_seed = 42;
     slo_duration = 600.0;
-    slo_tick = 1.0;
-    slo_racks = 6;
-    slo_servers_per_rack = 16;
-    base_offered = 1.6;
-    ramp_ratio = 10.0;
-    fe_capacity = 1.0;
-    base_hop = 0.001;
-    hop_noise_sigma = 0.04;
     slo =
       {
         Slo.target_p99 = 0.005;
@@ -720,11 +688,9 @@ let diurnal u =
   else 0.0
 
 let run_slo cfg =
-  if cfg.ramp_ratio < 1.0 then invalid_arg "Region_sim.run_slo: ramp_ratio < 1";
-  if cfg.slo_tick <= 0.0 then invalid_arg "Region_sim.run_slo: tick <= 0";
-  let n = cfg.slo_racks * cfg.slo_servers_per_rack in
-  let rng = Rng.create cfg.slo_seed in
-  let rack_of sid = sid / cfg.slo_servers_per_rack in
+  let n = slo_racks * slo_servers_per_rack in
+  let rng = Rng.create slo_seed in
+  let rack_of sid = sid / slo_servers_per_rack in
   let be = 0 in
   let be_rack = rack_of be in
   let in_pool = Array.make n false in
@@ -765,30 +731,23 @@ let run_slo cfg =
     pool_size := !pool_size + List.length picked;
     List.length picked
   in
-  let shrink _now count =
-    (* Mirror the controller's victim ranking: cross-rack first, then
-       the highest background load. *)
-    let ranked =
-      List.sort
-        (fun a b ->
-          let rack s = if rack_of s = be_rack then 1 else 0 in
-          match compare (rack a) (rack b) with
-          | 0 -> Float.compare (load b) (load a)
-          | c -> c)
-        (members ())
+  let shrink count =
+    let victims =
+      Placement.scale_in_victims
+        ~same_rack:(fun sid -> rack_of sid = be_rack)
+        ~load ~count (members ())
     in
-    let victims = Placement.take count ranked in
     List.iter (fun sid -> in_pool.(sid) <- false) victims;
     pool_size := !pool_size - List.length victims;
     List.length victims
   in
   ignore (grow 0.0 cfg.slo.Slo.min_pool : int);
   let hop_p99 u =
-    cfg.base_hop
+    base_hop
     *. (1.0 +. (2.0 *. u /. Float.max 0.03 (1.0 -. Float.min u 0.97)))
   in
   let budget = cfg.slo.Slo.target_p99 *. (1.0 +. cfg.slo.Slo.band) in
-  let ticks = int_of_float (cfg.slo_duration /. cfg.slo_tick) in
+  let ticks = int_of_float (cfg.slo_duration /. slo_tick) in
   let mix h x = (h * 1000003) lxor x in
   let f32 x = Int64.to_int (Int64.logand (Int64.bits_of_float x) 0xffffffffL) in
   let digest = ref 17 in
@@ -807,10 +766,10 @@ let run_slo cfg =
   and offered_max = ref 0.0 in
   let peak_tick = int_of_float (0.475 *. float_of_int ticks) in
   for i = 0 to ticks - 1 do
-    let now = float_of_int i *. cfg.slo_tick in
+    let now = float_of_int i *. slo_tick in
     let offered =
-      cfg.base_offered
-      *. (1.0 +. ((cfg.ramp_ratio -. 1.0) *. diurnal (now /. cfg.slo_duration)))
+      base_offered
+      *. (1.0 +. ((ramp_ratio -. 1.0) *. diurnal (now /. cfg.slo_duration)))
     in
     offered_min := Float.min !offered_min offered;
     offered_max := Float.max !offered_max offered;
@@ -818,9 +777,9 @@ let run_slo cfg =
     let suspects = List.length (List.filter (cut now) ms) in
     suspects_max := max !suspects_max suspects;
     let effective = max 1 (List.length ms - suspects) in
-    util := offered /. (float_of_int effective *. cfg.fe_capacity);
+    util := offered /. (float_of_int effective *. fe_capacity);
     let p99 =
-      hop_p99 !util *. Rng.lognormal rng ~mu:0.0 ~sigma:cfg.hop_noise_sigma
+      hop_p99 !util *. Rng.lognormal rng ~mu:0.0 ~sigma:hop_noise_sigma
     in
     p99_peak := Float.max !p99_peak p99;
     if now >= cfg.slo.Slo.warmup then begin
@@ -831,7 +790,7 @@ let run_slo cfg =
     let dir =
       match Slo.observe slo ~now ~p99:(Some p99) ~pool ~suspects with
       | Slo.Scale_out add -> if grow now add > 0 then 1 else 0
-      | Slo.Scale_in remove -> if shrink now remove > 0 then -1 else 0
+      | Slo.Scale_in remove -> if shrink remove > 0 then -1 else 0
       | Slo.Hold _ -> 0
     in
     if dir <> 0 then begin

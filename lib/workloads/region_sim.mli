@@ -15,8 +15,9 @@
 
     Determinism: for a fixed seed the result {!result.digest} is
     identical for any shard count (all cross-shard interaction is
-    control-plane traffic with delay = [ctl_latency] = the cluster
-    lookahead; everything else is shard-local — see DESIGN.md §10). *)
+    control-plane traffic whose delay, the fixed control-plane RPC
+    latency, is the cluster lookahead; everything else is shard-local —
+    see DESIGN.md §10). *)
 
 (** Event-scheduling mode, the benchmark contrast of [bench macro]:
     [Heap_events] replicates the classic engine (a fresh closure pushed
@@ -33,18 +34,13 @@ type config = {
   duration : float;  (** one compressed "day", sim seconds *)
   tick : float;  (** demand-evaluation period per server *)
   flow_timers : int;  (** sampled live-flow churn timers per server *)
-  flow_mean : float;  (** mean flow lifetime driving churn *)
   nezha : bool;  (** controller acts (false = "before" run) *)
   report_interval : float;
   scan_interval : float;
-  ctl_latency : float;  (** control-plane RPC latency = cluster lookahead *)
-  keep_share : float;  (** demand share the BE keeps once offloaded *)
   hotspot_quantile : float;  (** CPS quantile above which spikes occur *)
   spikes_per_day : float;  (** Poisson mean per hotspot (Fig. 13) *)
   ramp_median : float;  (** compressed spike ramp median, seconds *)
-  ramp_sigma : float;
   hold : float;  (** time a spike holds its peak *)
-  rpc_rtt : float;
   crash_rate : float;
       (** crash-storm chaos (DESIGN.md §13): Poisson mean server crashes
           per compressed day, schedule frozen at setup (0 = off) *)
@@ -102,7 +98,7 @@ val before_after : config -> before_after
 
 (** {1 SLO-tracking run (ROADMAP item 4)}
 
-    A diurnal offered-load ramp (×[ramp_ratio] trough→peak) served by an
+    A diurnal offered-load ramp (×10 trough→peak) served by an
     elastic FE pool sized by the {e real} {!Nezha_core.Slo} decision
     core over a modeled remote-hop P99, with placement through the real
     power-of-two-choices policy ({!Nezha_core.Placement.select_p2c}).
@@ -118,24 +114,17 @@ val before_after : config -> before_after
 module Slo = Nezha_core.Slo
 
 type slo_config = {
-  slo_seed : int;
   slo_duration : float;  (** one compressed "day", sim seconds *)
-  slo_tick : float;  (** report/decision period *)
-  slo_racks : int;
-  slo_servers_per_rack : int;
-  base_offered : float;  (** trough offered load, FE-capacity units *)
-  ramp_ratio : float;  (** peak/trough offered ratio (×10) *)
-  fe_capacity : float;  (** offered units one FE serves at util 1.0 *)
-  base_hop : float;  (** remote-hop latency at zero utilization, s *)
-  hop_noise_sigma : float;  (** lognormal sigma on the observed P99 *)
   slo : Slo.config;  (** the decision core's knobs *)
   flap_window : float;  (** reversal horizon for oscillation counting *)
   slo_partition : (float * float) option;  (** chaos: (start, duration) *)
 }
 
 val default_slo_config : slo_config
-(** 96 servers in 6 racks, 600 s day, ×10 ramp, 5 ms target P99 with a
-    30% hysteresis band, pool 4..48, no partition. *)
+(** 600 s day, 5 ms target P99 with a 30% hysteresis band, pool 4..48,
+    no partition.  Fixed for every run: seed 42, 96 servers in 6 racks,
+    a 1 s decision tick, the ×10 ramp from a 1.6-FE trough and the hop
+    model (1 ms base, lognormal noise sigma 0.04). *)
 
 type slo_result = {
   slo_ticks : int;

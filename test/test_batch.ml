@@ -430,12 +430,10 @@ let test_batch_loss_differential () =
           (Faults.impair ~loss:0.01 ()))
       (Controller.offload_fe_servers o);
     for k = 0 to 7 do
-      ignore
-        (Sim.schedule w.hsim ~delay:(0.05 *. float_of_int k) (fun _ ->
-             let pkts = List.init 32 (fun i -> heavy_tx ~dport:(41000 + (64 * k) + i) ()) in
-             if batch then Vswitch.from_vnic_batch w.heavy_vs vnic1 (Pbatch.of_list pkts)
-             else List.iter (Vswitch.from_vm w.heavy_vs vnic1) pkts)
-          : Sim.handle)
+      Sim.post w.hsim ~delay:(0.05 *. float_of_int k) (fun _ ->
+          let pkts = List.init 32 (fun i -> heavy_tx ~dport:(41000 + (64 * k) + i) ()) in
+          if batch then Vswitch.from_vnic_batch w.heavy_vs vnic1 (Pbatch.of_list pkts)
+          else List.iter (Vswitch.from_vm w.heavy_vs vnic1) pkts)
     done;
     Sim.run w.hsim ~until:20.0;
     let be = Controller.offload_be o in

@@ -262,9 +262,9 @@ let test_sim_ordering () =
   let sim = Sim.create () in
   let log = ref [] in
   let note tag _ = log := tag :: !log in
-  ignore (Sim.schedule sim ~delay:3.0 (note "c") : Sim.handle);
-  ignore (Sim.schedule sim ~delay:1.0 (note "a") : Sim.handle);
-  ignore (Sim.schedule sim ~delay:2.0 (note "b") : Sim.handle);
+  Sim.post sim ~delay:3.0 (note "c");
+  Sim.post sim ~delay:1.0 (note "a");
+  Sim.post sim ~delay:2.0 (note "b");
   Sim.run sim;
   Alcotest.(check (list string)) "order" [ "a"; "b"; "c" ] (List.rev !log);
   check_float "final time" 3.0 (Sim.now sim)
@@ -273,28 +273,19 @@ let test_sim_same_time_fifo () =
   let sim = Sim.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    ignore (Sim.schedule sim ~delay:1.0 (fun _ -> log := i :: !log) : Sim.handle)
+    Sim.post sim ~delay:1.0 (fun _ -> log := i :: !log)
   done;
   Sim.run sim;
   Alcotest.(check (list int)) "fifo at same instant" [ 1; 2; 3; 4; 5 ] (List.rev !log)
-
-let test_sim_cancel () =
-  let sim = Sim.create () in
-  let fired = ref false in
-  let h = Sim.schedule sim ~delay:1.0 (fun _ -> fired := true) in
-  Sim.cancel sim h;
-  check_bool "cancelled flag" true (Sim.cancelled h);
-  Sim.run sim;
-  check_bool "did not fire" false !fired
 
 let test_sim_until () =
   let sim = Sim.create () in
   let count = ref 0 in
   let rec tick s =
     incr count;
-    ignore (Sim.schedule s ~delay:1.0 tick : Sim.handle)
+    Sim.post s ~delay:1.0 tick
   in
-  ignore (Sim.schedule sim ~delay:1.0 tick : Sim.handle);
+  Sim.post sim ~delay:1.0 tick;
   Sim.run ~until:10.5 sim;
   check_int "ticks up to 10.5" 10 !count;
   check_float "clock parked at until" 10.5 (Sim.now sim)
@@ -302,13 +293,9 @@ let test_sim_until () =
 let test_sim_nested_schedule () =
   let sim = Sim.create () in
   let log = ref [] in
-  ignore
-    (Sim.schedule sim ~delay:1.0 (fun s ->
-         log := "outer" :: !log;
-         ignore
-           (Sim.schedule s ~delay:0.0 (fun _ -> log := "inner" :: !log)
-             : Sim.handle))
-      : Sim.handle);
+  Sim.post sim ~delay:1.0 (fun s ->
+      log := "outer" :: !log;
+      Sim.post s ~delay:0.0 (fun _ -> log := "inner" :: !log));
   Sim.run sim;
   Alcotest.(check (list string)) "nested" [ "outer"; "inner" ] (List.rev !log)
 
@@ -321,20 +308,10 @@ let test_sim_every_stops () =
   Sim.run sim;
   check_int "stopped after 5" 5 !count
 
-let test_sim_max_events () =
-  let sim = Sim.create () in
-  let rec tick s = ignore (Sim.schedule s ~delay:1.0 tick : Sim.handle) in
-  ignore (Sim.schedule sim ~delay:0.0 tick : Sim.handle);
-  Sim.run ~max_events:100 sim;
-  check_int "bounded" 100 (Sim.events_executed sim)
-
 let test_sim_negative_delay_clamped () =
   let sim = Sim.create () in
   let t = ref (-1.0) in
-  ignore
-    (Sim.schedule sim ~delay:5.0 (fun s ->
-         ignore (Sim.schedule s ~delay:(-3.0) (fun s' -> t := Sim.now s') : Sim.handle))
-      : Sim.handle);
+  Sim.post sim ~delay:5.0 (fun s -> Sim.post s ~delay:(-3.0) (fun s' -> t := Sim.now s'));
   Sim.run sim;
   check_float "fires now, not in the past" 5.0 !t
 
@@ -433,8 +410,8 @@ let test_sim_pool_reuse () =
      record: the first firing's record is free again by the time the
      handler schedules the next. *)
   let sim = Sim.create () in
-  let rec tick n s = if n < 100 then ignore (Sim.schedule s ~delay:1.0 (tick (n + 1)) : Sim.handle) in
-  ignore (Sim.schedule sim ~delay:1.0 (tick 1) : Sim.handle);
+  let rec tick n s = if n < 100 then Sim.post s ~delay:1.0 (tick (n + 1)) in
+  Sim.post sim ~delay:1.0 (tick 1);
   Sim.run sim;
   let reused, fresh = Sim.pool_stats sim in
   check_int "one fresh record" 1 fresh;
@@ -456,18 +433,10 @@ let test_sim_every_pool () =
 let test_sim_timeout_fires_coarse () =
   let sim = Sim.create ~timer_tick:0.1 () in
   let fired_at = ref nan in
-  ignore (Sim.timeout sim ~delay:0.42 (fun s -> fired_at := Sim.now s) : Sim.timer);
+  Sim.timeout sim ~delay:0.42 (fun s -> fired_at := Sim.now s);
   Sim.run sim;
   check_bool "at or after the deadline" true (!fired_at >= 0.42);
   check_bool "within one tick of it" true (!fired_at <= 0.42 +. 0.1)
-
-let test_sim_timeout_cancel () =
-  let sim = Sim.create () in
-  let t = Sim.timeout sim ~delay:1.0 (fun _ -> Alcotest.fail "cancelled timer fired") in
-  Sim.cancel_timer t;
-  check_bool "cancelled" true (Sim.timer_cancelled t);
-  Sim.run sim;
-  check_int "nothing pending" 0 (Sim.pending sim)
 
 let prop_timeout_matches_schedule =
   (* Wheel-vs-heap equivalence: the same set of delays scheduled through
@@ -486,8 +455,8 @@ let prop_timeout_matches_schedule =
       let wheel_t = Array.make n nan and heap_t = Array.make n nan in
       List.iteri
         (fun i d ->
-          ignore (Sim.timeout wheel_sim ~delay:d (fun s -> wheel_t.(i) <- Sim.now s) : Sim.timer);
-          ignore (Sim.schedule heap_sim ~delay:d (fun s -> heap_t.(i) <- Sim.now s) : Sim.handle))
+          Sim.timeout wheel_sim ~delay:d (fun s -> wheel_t.(i) <- Sim.now s);
+          Sim.post heap_sim ~delay:d (fun s -> heap_t.(i) <- Sim.now s))
         delays;
       Sim.run wheel_sim;
       Sim.run heap_sim;
@@ -515,7 +484,7 @@ let test_sharded_send_and_determinism () =
       if n < 20 then
         Sim.Sharded.send sim ~dst:(if sim == s0 then 1 else 0) ~delay:0.1 (ping (n + 1))
     in
-    ignore (Sim.schedule s0 ~delay:0.0 (ping 0) : Sim.handle);
+    Sim.post s0 ~delay:0.0 (ping 0);
     Sim.Sharded.run c;
     (List.rev !log, Sim.Sharded.events_executed c, Sim.Sharded.messages_delivered c)
   in
@@ -553,10 +522,10 @@ let test_sim_determinism () =
     let rec tick n s =
       if n < 200 then begin
         log := (Sim.now s, n) :: !log;
-        ignore (Sim.schedule s ~delay:(Rng.exponential rng ~mean:0.01) (tick (n + 1)) : Sim.handle)
+        Sim.post s ~delay:(Rng.exponential rng ~mean:0.01) (tick (n + 1))
       end
     in
-    ignore (Sim.schedule sim ~delay:0.0 (tick 0) : Sim.handle);
+    Sim.post sim ~delay:0.0 (tick 0);
     Sim.run sim;
     (!log, Sim.events_executed sim)
   in
@@ -625,17 +594,14 @@ let () =
         [
           Alcotest.test_case "time ordering" `Quick test_sim_ordering;
           Alcotest.test_case "same-time fifo" `Quick test_sim_same_time_fifo;
-          Alcotest.test_case "cancel" `Quick test_sim_cancel;
           Alcotest.test_case "run until" `Quick test_sim_until;
           Alcotest.test_case "nested schedule" `Quick test_sim_nested_schedule;
           Alcotest.test_case "every stops on false" `Quick test_sim_every_stops;
-          Alcotest.test_case "max events" `Quick test_sim_max_events;
           Alcotest.test_case "negative delay clamped" `Quick test_sim_negative_delay_clamped;
           Alcotest.test_case "bit-for-bit determinism" `Quick test_sim_determinism;
           Alcotest.test_case "event pool reuse" `Quick test_sim_pool_reuse;
           Alcotest.test_case "every reuses one record" `Quick test_sim_every_pool;
           Alcotest.test_case "timeout fires coarsely" `Quick test_sim_timeout_fires_coarse;
-          Alcotest.test_case "timeout cancel" `Quick test_sim_timeout_cancel;
         ]
         @ qsuite [ prop_timeout_matches_schedule ] );
       ( "sharded",

@@ -65,10 +65,10 @@ let blast_udp t ~packets ~payload =
     if i < packets then begin
       Vswitch.from_vm t.Testbed.server.Tcp_crr.vs Testbed.heavy_vnic_id
         (Packet.create ~vpc:t.Testbed.vpc ~flow ~direction:Packet.Tx ~payload_len:payload ());
-      ignore (Sim.schedule sim ~delay:0.001 (send (i + 1)) : Sim.handle)
+      Sim.post sim ~delay:0.001 (send (i + 1))
     end
   in
-  ignore (Sim.schedule t.Testbed.sim ~delay:0.0 (send 0) : Sim.handle)
+  Sim.post t.Testbed.sim ~delay:0.0 (send 0)
 
 let test_rate_limit_local () =
   let t = Testbed.create () in
@@ -435,10 +435,10 @@ let test_auto_fallback () =
     if Sim.now sim < 8.0 then begin
       Vswitch.from_vm t.Testbed.clients.(0).Tcp_crr.vs t.Testbed.clients.(0).Tcp_crr.vnic
         (client_syn t ~sport:(10000 + (i mod 40000)));
-      ignore (Sim.schedule sim ~delay:0.0003 (send (i + 1)) : Sim.handle)
+      Sim.post sim ~delay:0.0003 (send (i + 1))
     end
   in
-  ignore (Sim.schedule t.Testbed.sim ~delay:0.0 (send 0) : Sim.handle);
+  Sim.post t.Testbed.sim ~delay:0.0 (send 0);
   (* While the load is still on: offloaded, tables remote. *)
   Sim.run t.Testbed.sim ~until:7.5;
   check_bool "offloaded under load" true (Controller.offload_events t.Testbed.ctl >= 1);
@@ -485,13 +485,13 @@ let test_chaos_repeated_failovers () =
           Smartnic.crash nic;
           incr crashes;
           (* Let it come back later, as a reusable candidate. *)
-          ignore (Sim.schedule sim ~delay:6.0 (fun _ -> Smartnic.recover nic) : Sim.handle)
+          Sim.post sim ~delay:6.0 (fun _ -> Smartnic.recover nic)
         end
       | [] -> ());
-      ignore (Sim.schedule sim ~delay:5.0 chaos : Sim.handle)
+      Sim.post sim ~delay:5.0 chaos
     end
   in
-  ignore (Sim.schedule t.Testbed.sim ~delay:4.0 chaos : Sim.handle);
+  Sim.post t.Testbed.sim ~delay:4.0 chaos;
   Sim.run t.Testbed.sim ~until:35.0;
   check_bool "several crashes injected" true (!crashes >= 4);
   check_int "every crash detected and failed over" !crashes

@@ -263,7 +263,7 @@ let test_fabric_gateway_staleness () =
     [| Topology.underlay_ip topo 0 |];
   Gateway.set_route (Fabric.gateway fabric) svc_addr [| Topology.underlay_ip topo 1 |];
   let send sport = Vswitch.from_vm vs0 (Vnic.id_of_int 1) (tx_syn ~sport ()) in
-  let at time f = ignore (Sim.at sim ~time f : Sim.handle) in
+  let at time f = Sim.post_at sim ~time f in
   (* t=0: first flow detours via the gateway and triggers learning. *)
   send 41001;
   (* t=0.5: the learned mapping sends new flows direct. *)

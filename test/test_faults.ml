@@ -241,10 +241,10 @@ let test_be_local_fallback_when_all_fes_cut () =
     if i < n then begin
       Vswitch.from_vm t.Testbed.server.Tcp_crr.vs Testbed.heavy_vnic_id
         (Packet.create ~vpc:t.Testbed.vpc ~flow ~direction:Packet.Tx ~payload_len:100 ());
-      ignore (Sim.schedule sim ~delay:0.01 (send (i + 1)) : Sim.handle)
+      Sim.post sim ~delay:0.01 (send (i + 1))
     end
   in
-  ignore (Sim.schedule t.Testbed.sim ~delay:0.0 (send 0) : Sim.handle);
+  Sim.post t.Testbed.sim ~delay:0.0 (send 0);
   Sim.run t.Testbed.sim ~until:(Sim.now t.Testbed.sim +. 3.0);
   let be = Controller.offload_be o in
   let c = Be.counters be in

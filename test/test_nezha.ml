@@ -43,7 +43,7 @@ let test_monitor_detection_latency_bounded () =
   Monitor.watch m ~key:1 ~alive:(fun () -> !alive)
     ~on_fail:(fun ~key:_ -> failed_at := Sim.now sim);
   Monitor.start m;
-  ignore (Sim.schedule sim ~delay:1.01 (fun _ -> alive := false) : Sim.handle);
+  Sim.post sim ~delay:1.01 (fun _ -> alive := false);
   Sim.run sim ~until:10.0;
   (* Dead at 1.01; misses at 1.5, 2.0, 2.5 -> declared at 2.5. *)
   check_bool "within interval*misses + one interval" true
@@ -69,8 +69,8 @@ let test_monitor_recovery_resets_misses () =
   Monitor.watch m ~key:1 ~alive:(fun () -> !alive) ~on_fail:(fun ~key:_ -> incr failed);
   Monitor.start m;
   (* Two misses, then recovery before the third. *)
-  ignore (Sim.schedule sim ~delay:0.6 (fun _ -> alive := false) : Sim.handle);
-  ignore (Sim.schedule sim ~delay:1.6 (fun _ -> alive := true) : Sim.handle);
+  Sim.post sim ~delay:0.6 (fun _ -> alive := false);
+  Sim.post sim ~delay:1.6 (fun _ -> alive := true);
   Sim.run sim ~until:6.0;
   check_int "never declared" 0 !failed
 
@@ -96,7 +96,7 @@ let test_monitor_rewatch_mid_round_resets_misses () =
      launched, before its collect — must discard the in-flight probe of
      the replaced registration and reset the miss counter, not count the
      stale miss against the fresh registration. *)
-  ignore (Sim.schedule sim ~delay:1.1 (fun _ -> watch_dead ()) : Sim.handle);
+  Sim.post sim ~delay:1.1 (fun _ -> watch_dead ());
   Sim.run sim ~until:1.3;
   check_int "not declared from a stale in-flight probe" 0 !failed;
   Sim.run sim ~until:6.0;
@@ -277,11 +277,11 @@ let test_offload_no_interruption_during_transition () =
     if Sim.now sim < stop_at then begin
       incr sent;
       Vswitch.from_vm w.client_vs vnic2 (client_syn ~sport:(40000 + (!sent mod 1000)) ());
-      ignore (Sim.schedule sim ~delay:0.01 send : Sim.handle)
+      Sim.post sim ~delay:0.01 send
     end
   in
-  ignore (Sim.schedule w.sim ~delay:0.0 send : Sim.handle);
-  ignore (Sim.schedule w.sim ~delay:1.0 (fun _ -> ignore (do_offload w : Controller.offload)) : Sim.handle);
+  Sim.post w.sim ~delay:0.0 send;
+  Sim.post w.sim ~delay:1.0 (fun _ -> ignore (do_offload w : Controller.offload));
   Sim.run w.sim ~until:8.0;
   let delivered = Vm.packets_delivered w.heavy_vm in
   check_bool "sent plenty" true (!sent > 400);
@@ -468,10 +468,10 @@ let test_auto_offload_triggers_under_load () =
   let rec send i sim =
     if Sim.now sim < 10.0 then begin
       Vswitch.from_vm w.client_vs vnic2 (client_syn ~sport:(40000 + (i mod 20000)) ());
-      ignore (Sim.schedule sim ~delay:0.0005 (send (i + 1)) : Sim.handle)
+      Sim.post sim ~delay:0.0005 (send (i + 1))
     end
   in
-  ignore (Sim.schedule w.sim ~delay:0.0 (send 0) : Sim.handle);
+  Sim.post w.sim ~delay:0.0 (send 0);
   Sim.run w.sim ~until:12.0;
   check_bool "offload triggered automatically" true (Controller.offload_events w.ctl >= 1);
   match Controller.find_offload w.ctl ~server:0 ~vnic:vnic1 with

@@ -186,6 +186,30 @@ let test_suspect_only_as_last_resort_fixed () =
   Alcotest.(check (list int)) "suspect ranked last" [ 1; 0 ]
     (List.map (fun s -> s.id) both)
 
+let test_scale_in_victims () =
+  let servers =
+    [
+      { id = 0; rack = 0; load = 0.9; bad = false };
+      { id = 1; rack = 1; load = 0.2; bad = false };
+      { id = 2; rack = 0; load = 0.1; bad = false };
+      { id = 3; rack = 2; load = 0.7; bad = false };
+      { id = 4; rack = 1; load = 0.2; bad = false };
+    ]
+  in
+  let victims count =
+    List.map
+      (fun s -> s.id)
+      (Placement.scale_in_victims
+         ~same_rack:(fun s -> s.rack = 0)
+         ~load:(fun s -> s.load)
+         ~count servers)
+  in
+  (* Cross-rack first (highest load first, equal loads in list order),
+     then the BE's own rack, highest load first. *)
+  Alcotest.(check (list int)) "full ranking" [ 3; 1; 4; 0; 2 ] (victims 5);
+  Alcotest.(check (list int)) "count caps the victims" [ 3; 1 ] (victims 2);
+  Alcotest.(check (list int)) "more than the pool" [ 3; 1; 4; 0; 2 ] (victims 9)
+
 let test_ewma_smoothing () =
   let e = Placement.Ewma.create ~alpha:0.5 () in
   Alcotest.(check (float 1e-9)) "zero before any sample" 0.0
@@ -225,5 +249,6 @@ let () =
           Alcotest.test_case "suspect only as last resort" `Quick
             test_suspect_only_as_last_resort_fixed;
           Alcotest.test_case "ewma load signal" `Quick test_ewma_smoothing;
+          Alcotest.test_case "scale-in victim ranking" `Quick test_scale_in_victims;
         ] );
     ]

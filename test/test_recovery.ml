@@ -213,10 +213,8 @@ let test_no_retx_against_removed_fe () =
     (Packet.create ~vpc:t.Testbed.vpc ~flow ~direction:Packet.Tx ~payload_len:100 ());
   (* Timeout 1 fires at ~t0+0.02 and re-steers to [second]; remove
      [second] at t0+0.03, before timeout 2 (~t0+0.04). *)
-  ignore
-    (Sim.schedule t.Testbed.sim ~delay:(t0 +. 0.03 -. Sim.now t.Testbed.sim)
-       (fun _ -> Be.remove_fe be second)
-      : Sim.handle);
+  Sim.post t.Testbed.sim ~delay:(t0 +. 0.03 -. Sim.now t.Testbed.sim) (fun _ ->
+      Be.remove_fe be second);
   Sim.run t.Testbed.sim ~until:(t0 +. 1.0);
   let c = Be.counters be in
   check_int "exactly one retransmission (the pre-removal re-steer)" 1

@@ -105,10 +105,8 @@ let run_variant variant =
                  ~src_port:(40000 + !k) ~dst_port:80 ~proto:Five_tuple.Tcp)
             ~direction:Packet.Tx ~flags:Packet.syn ()
         in
-        ignore
-          (Sim.schedule (sim_of src) ~delay (fun _ ->
-               Vswitch.from_vm vss.(src) (Vnic.id_of_int 1) pkt)
-            : Sim.handle)
+        Sim.post (sim_of src) ~delay (fun _ ->
+            Vswitch.from_vm vss.(src) (Vnic.id_of_int 1) pkt)
       end
     done
   done;
@@ -200,6 +198,23 @@ let test_region_engine_modes () =
   check_bool "wheel mode reuses the pool" true
     (w.Region_sim.pool_reused > w.Region_sim.pool_fresh)
 
+(* Behaviour fingerprint: exact digests of both engine modes and of the
+   SLO smoke run (the config check.sh --smoke gates).  The shard
+   invariance and rerun tests above compare a run with itself; these
+   pinned values catch a refactor of the engine or of Region_sim that
+   reorders same-time events, moves an RNG draw or shifts a timer to
+   another wheel slot. *)
+let test_region_fingerprint () =
+  let wheel = Region_sim.run { small_cfg with Region_sim.shards = 1 } in
+  let heap =
+    Region_sim.run
+      { small_cfg with Region_sim.shards = 1; engine = Region_sim.Heap_events }
+  in
+  let slo = Region_sim.run_slo Nezha_harness.Experiments.slo_smoke_config in
+  check_int "wheel digest" 1525205834506478868 wheel.Region_sim.digest;
+  check_int "heap digest" (-2211241428218317159) heap.Region_sim.digest;
+  check_int "slo smoke digest" 1430157517037829315 slo.Region_sim.slo_digest
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -212,5 +227,6 @@ let () =
           Alcotest.test_case "shard-count invariance" `Quick test_region_shard_invariance;
           Alcotest.test_case "before/after overloads" `Quick test_region_before_after;
           Alcotest.test_case "engine-mode invariants" `Quick test_region_engine_modes;
+          Alcotest.test_case "behaviour fingerprint" `Quick test_region_fingerprint;
         ] );
     ]

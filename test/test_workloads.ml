@@ -286,23 +286,10 @@ let test_sirius_requires_even_cards () =
       ignore (Sirius.create ~fabric:d.fabric ~cards:[ 4; 5; 6 ] () : Sirius.t))
 
 (* ------------------------------------------------------------------ *)
-(* SLO-tracking ramp (ROADMAP item 4), at the check.sh --smoke scale so
-   it fits the tier-1 budget. *)
+(* SLO-tracking ramp (ROADMAP item 4), on the exact config check.sh
+   --smoke gates, so it fits the tier-1 budget. *)
 
-let slo_smoke_cfg =
-  let base = Region_sim.default_slo_config in
-  {
-    base with
-    Region_sim.slo_duration = 150.0;
-    slo =
-      {
-        base.Region_sim.slo with
-        Region_sim.Slo.cooldown = 2.0;
-        warmup = 3.0;
-        suppress_hold = 8.0;
-      };
-    flap_window = 15.0;
-  }
+let slo_smoke_cfg = Nezha_harness.Experiments.slo_smoke_config
 
 let test_slo_ramp_tracks_load () =
   let r = Region_sim.run_slo slo_smoke_cfg in
