@@ -275,7 +275,9 @@ echo "== macro gate (region scale + tuned-engine speedup + RSS ceiling)"
 # than the classic single-heap engine on the same 2,000-vSwitch region
 # day; the run must be deterministic and shard-count-invariant; Nezha
 # must resolve overloads in simulated time; and the whole run must fit
-# in a bounded heap.
+# in a bounded heap.  Idle vSwitch tables allocate on first use, so the
+# region peaks near 53 MB; the 96 MiB ceiling catches a return to eager
+# per-vSwitch tables (~145 MB) with ~1.8x headroom.
 if command -v python3 >/dev/null 2>&1; then
   python3 - BENCH_macro.json <<'PY'
 import json, sys
@@ -305,9 +307,9 @@ tuned = max((p for (s, e), p in sweep.items() if e == "wheel" and s > 1),
 speedup = tuned["events_per_sec"] / base["events_per_sec"]
 assert speedup >= 2.0, "tuned engine speedup %.2fx < 2.0x" % speedup
 rss = macro["peak_rss_bytes"]
-assert rss <= 1 << 30, "peak RSS %d bytes > 1 GiB ceiling" % rss
+assert rss <= 96 << 20, "peak RSS %d bytes > 96 MiB ceiling" % rss
 print("ok: %d vswitches, %d events; overloads %d -> %d (%.1f%% resolved); "
-      "speedup %.2fx (gate >= 2.0x); peak rss %.0f MB (gate <= 1024 MB)"
+      "speedup %.2fx (gate >= 2.0x); peak rss %.0f MB (gate <= 96 MB)"
       % (before["vswitches"], before["events"], before["overloads"],
          after["overloads"], region["resolved_pct"], speedup, rss / 1048576))
 PY

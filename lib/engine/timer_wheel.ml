@@ -15,10 +15,13 @@ type 'a timer = {
 and 'a t = {
   tick : float;
   slots : int;
-  wheel : 'a timer list array; (* per-slot buckets, newest first unless marked *)
+  (* Per-slot buckets, newest first unless marked.  Both arrays stay
+     empty until the first [add]: most wheels in a region belong to
+     idle session tables and never file a timer. *)
+  mutable wheel : 'a timer list array;
   (* A slot is marked when a retarget left a timer out of stamp order
      in it; its sweep then sorts the due timers before firing. *)
-  disordered : Bytes.t;
+  mutable disordered : Bytes.t;
   (* Absolute slot index since t=0; the concrete slot is
      [cursor_abs mod slots] and the window start is
      [float cursor_abs *. tick].  Deriving every boundary from the
@@ -42,8 +45,8 @@ let create ~tick ~slots =
   {
     tick;
     slots;
-    wheel = Array.make slots [];
-    disordered = Bytes.make slots '\000';
+    wheel = [||];
+    disordered = Bytes.empty;
     cursor_abs = 0;
     next_sweep = tick;
     stamps = 0;
@@ -62,6 +65,10 @@ let next_stamp t =
   t.stamps
 
 let add t ~now ~deadline value =
+  if Array.length t.wheel = 0 then begin
+    t.wheel <- Array.make t.slots [];
+    t.disordered <- Bytes.make t.slots '\000'
+  end;
   let deadline = if deadline < now then now else deadline in
   let timer = { stamp = next_stamp t; deadline; value; owner = t } in
   (* File by absolute slot, clamped to the cursor so a deadline whose
@@ -180,7 +187,7 @@ let rec sweep_until t ~now f =
     end;
     let s = t.cursor_abs mod t.slots in
     t.cursor_abs <- t.cursor_abs + 1;
-    sweep_slot t ~now f s;
+    if Array.length t.wheel > 0 then sweep_slot t ~now f s;
     sweep_until t ~now f
   end
 

@@ -337,20 +337,13 @@ val crash_cycles : ?cycles:int -> ?seed:int -> unit -> crash_cycles
     hand-rolling objects. *)
 
 val json_of_fig9_row : fig9_row -> Nezha_telemetry.Json.t
-val json_of_chaos_sample : chaos_sample -> Nezha_telemetry.Json.t
 
 val json_of_chaos_result : chaos_result -> Nezha_telemetry.Json.t
 (** The result fields of the [nezha-chaos/1] schema ([samples] included);
     the [chaos] subcommand prepends the run's input parameters. *)
 
-val json_of_region_result :
-  Nezha_workloads.Region_sim.result -> Nezha_telemetry.Json.t
-
 val json_of_region_overloads : region_overloads -> Nezha_telemetry.Json.t
 val json_of_region_mttr : region_mttr -> Nezha_telemetry.Json.t
 val json_of_crash_cycles : crash_cycles -> Nezha_telemetry.Json.t
-
-val json_of_slo_result :
-  Nezha_workloads.Region_sim.slo_result -> Nezha_telemetry.Json.t
 
 val json_of_slo_ramp : slo_ramp -> Nezha_telemetry.Json.t

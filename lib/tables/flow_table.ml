@@ -12,10 +12,16 @@ type 'v t = {
   entry_overhead : int;
   value_bytes : 'v -> int;
   value_aging : 'v -> float;
-  entries : 'v entry Flow_key.Table.t;
+  (* An empty placeholder until the first new key, then [table_size]
+     buckets: an idle table never pays for them, and lookups run
+     against the placeholder without a check. *)
+  mutable entries : 'v entry Flow_key.Table.t;
+  mutable sized : bool;
   wheel : Flow_key.t Timer_wheel.t;
   mutable used_bytes : int;
 }
+
+let table_size = 1024
 
 let create ?capacity_bytes ?value_aging ~entry_overhead ~value_bytes ~default_aging () =
   if default_aging <= 0.0 then invalid_arg "Flow_table.create: aging must be positive";
@@ -24,7 +30,8 @@ let create ?capacity_bytes ?value_aging ~entry_overhead ~value_bytes ~default_ag
     entry_overhead;
     value_bytes;
     value_aging = (match value_aging with Some f -> f | None -> fun _ -> default_aging);
-    entries = Flow_key.Table.create 1024;
+    entries = Flow_key.Table.create 1;
+    sized = false;
     (* Tick at 1/8 of the aging time: expiry error stays under ~12%. *)
     wheel = Timer_wheel.create ~tick:(default_aging /. 8.0) ~slots:256;
     used_bytes = 0;
@@ -64,6 +71,10 @@ let insert t ~now ?aging key v =
     if fits t nbytes then begin
       let aging = aging_of t ?aging v in
       let e = { key; value = v; bytes = nbytes; timer = arm t ~now ~aging key } in
+      if not t.sized then begin
+        t.entries <- Flow_key.Table.create table_size;
+        t.sized <- true
+      end;
       Flow_key.Table.replace t.entries key e;
       t.used_bytes <- t.used_bytes + nbytes;
       Admission.ok

@@ -39,7 +39,8 @@ type t = {
   route : unit Lpm.t;
   mapping : Ipv4.t array Vnic.Addr.Table.t;
   mutable generation : int;
-  mega : Pre_action.t Mega.t;
+  mutable mega : Pre_action.t Mega.t; (* placeholder until the first fill *)
+  mutable mega_sized : bool;
   mutable mega_mask : mega_mask;
   mutable mega_gen : int; (* generation the cache contents reflect *)
   mutable mega_rev : int; (* classifier revision ditto *)
@@ -50,6 +51,7 @@ type t = {
 let mapping_entry_bytes = 40 (* overlay addr + VPC + underlay addr + MAC + flags *)
 let stats_rule_bytes = 24
 let mega_capacity = 8192
+let mega_size = 256
 let mega_entry_bytes = 56 (* masked key + boxed pre-action pointer + bucket slot *)
 
 let exact_mask = { mask_src_len = 32; mask_ports = true; mask_proto = true }
@@ -75,7 +77,8 @@ let create ~vni ?acl ?policy ?rate_limit_bps ?(stats_rules = [])
     route = Lpm.create ();
     mapping = Vnic.Addr.Table.create 64;
     generation = 0;
-    mega = Mega.create 256;
+    mega = Mega.create 1;
+    mega_sized = false;
     mega_mask = exact_mask;
     mega_gen = min_int;
     mega_rev = min_int;
@@ -216,7 +219,13 @@ let lookup t ~params ~vpc ~flow_tx =
           mirror = t.mirror;
         }
       in
-      if cacheable && Mega.length t.mega < mega_capacity then Mega.replace t.mega key pre;
+      if cacheable && Mega.length t.mega < mega_capacity then begin
+        if not t.mega_sized then begin
+          t.mega <- Mega.create mega_size;
+          t.mega_sized <- true
+        end;
+        Mega.replace t.mega key pre
+      end;
       let cycles =
         Params.rule_lookup_cycles params ~acl_rules_scanned:scanned ~lpm_depth
           ~tables:(table_count t)
@@ -263,7 +272,8 @@ let clone t =
     route = Lpm.copy t.route;
     mapping = Vnic.Addr.Table.copy t.mapping;
     generation = t.generation;
-    mega = Mega.create 256;
+    mega = Mega.create 1;
+    mega_sized = false;
     mega_mask = exact_mask;
     mega_gen = min_int;
     mega_rev = min_int;

@@ -392,18 +392,41 @@ let test_wheel_due_rearm_fires_next_slot () =
   ignore (Timer_wheel.advance w ~now:2.0 on_fire : int);
   check_int "re-armed fired on the next sweep" 2 !fired
 
+(* Besides firing everything, a wheel first advanced to [start] before
+   its first [add] (its storage is still unallocated) must behave like
+   one whose storage was forced at t = 0 by an add and a cancel: the
+   same deadlines fire in the same [advance] call and in the same
+   order.  Some deadlines fall below [start] and must clamp alike. *)
 let prop_wheel_fires_everything =
   QCheck.Test.make ~name:"timer wheel fires every non-cancelled timer" ~count:100
-    QCheck.(make Gen.(list_size (int_range 1 200) (float_range 0.01 50.0)))
-    (fun deadlines ->
-      let w = Timer_wheel.create ~tick:0.25 ~slots:32 in
-      List.iter
-        (fun d -> ignore (Timer_wheel.add w ~now:0.0 ~deadline:d () : unit Timer_wheel.timer))
-        deadlines;
-      let fired = ref 0 in
-      ignore (Timer_wheel.advance w ~now:100.0 (fun () -> incr fired) : int);
-      !fired = List.length deadlines && Timer_wheel.pending w = 0)
-
+    QCheck.(
+      make
+        ~print:Print.(pair float (list float))
+        Gen.(
+          pair (float_range 0.0 20.0)
+            (list_size (int_range 1 200) (float_range 0.01 50.0))))
+    (fun (start, deadlines) ->
+      let lazy_w = Timer_wheel.create ~tick:0.25 ~slots:32 in
+      let forced_w = Timer_wheel.create ~tick:0.25 ~slots:32 in
+      Timer_wheel.cancel (Timer_wheel.add forced_w ~now:0.0 ~deadline:1.0 (-1));
+      let run w =
+        ignore (Timer_wheel.advance w ~now:start ignore : int);
+        List.iteri
+          (fun i d ->
+            let deadline = start -. 1.0 +. d in
+            ignore (Timer_wheel.add w ~now:start ~deadline i : int Timer_wheel.timer))
+          deadlines;
+        let log = ref [] in
+        for step = 1 to 100 do
+          let now = start +. (0.7 *. float_of_int step) in
+          ignore (Timer_wheel.advance w ~now (fun i -> log := (step, i) :: !log) : int)
+        done;
+        (List.rev !log, Timer_wheel.pending w)
+      in
+      let lazy_log, lazy_pending = run lazy_w in
+      let forced_log, forced_pending = run forced_w in
+      List.length lazy_log = List.length deadlines
+      && lazy_pending = 0 && forced_pending = 0 && lazy_log = forced_log)
 
 let test_sim_pool_reuse () =
   (* A chain of events scheduled one-at-a-time recycles a single pooled
